@@ -13,6 +13,7 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import divisor as dv
 from . import perfectoid as perf
@@ -405,7 +406,10 @@ def _run(job: JobSpec, report: Report) -> None:
 # argv plumbing
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: a parser is a web of reference cycles, and
+    # one per job would be left for the cycle collector to free.
     parser = argparse.ArgumentParser(
         prog="toricpic",
         description="Picard groups, divisor class groups and line-bundle cohomology "

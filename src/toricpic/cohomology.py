@@ -3,7 +3,9 @@
 H^i(X, O(D)) is computed degree by degree through the M-graded Čech
 complex over the maximal-cone cover: the degree-m piece keeps exactly the
 chart tuples on whose intersection chi^m is a section, and its cohomology
-is computed by exact rational elimination.  Degrees are enumerated over a
+is computed from exact ranks of the ±1 boundary matrices, taken by the
+fraction-free elimination kernel of `lattice` (over GF(p) as well, when a
+mod-p cross-check is asked for).  Degrees are enumerated over a
 finite support region (convex hull of the Cartier witnesses and the
 polytope vertices, dilated by one in every coordinate); degrees sharing a
 sign pattern share a complex, so each pattern is ranked once.
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .divisor import (
     as_divisor,
@@ -26,8 +28,8 @@ from .divisor import (
 )
 from .errors import ConsistencyError, HypothesisError, InputError
 from .fan import Fan, validate_fan
-from .lattice import IntVector, dot, is_prime, rational_rank
-from .polyhedra import hull_facets
+from .lattice import IntVector, dot, is_prime, rank_mod_p, rational_rank
+from .polyhedra import CACHE_SIZE, hull_facets
 
 
 def require_cohomology_fan(fan: Fan) -> None:
@@ -41,7 +43,7 @@ def require_cohomology_fan(fan: Fan) -> None:
             raise HypothesisError("cohomology requires a simplicial fan")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _cover_subsets(fan: Fan):
     """All nonempty tuples of maximal-cone indices together with the ray set
     of the corresponding intersection (valid fans: shared rays)."""
@@ -78,34 +80,10 @@ def support_complex(fan: Fan, divisor, m) -> list[tuple[int, ...]]:
     ]
 
 
-def _rank_rational(rows, ncols) -> int:
-    if not rows or ncols == 0:
-        return 0
-    return rational_rank(rows)
-
-
-def _rank_mod(rows, ncols, p) -> int:
-    if not rows or ncols == 0:
-        return 0
-    m = [[x % p for x in row] for row in rows]
-    rank = 0
-    col = 0
-    nrows = len(m)
-    while rank < nrows and col < ncols:
-        piv = next((i for i in range(rank, nrows) if m[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [(x * inv) % p for x in m[rank]]
-        for i in range(nrows):
-            if i != rank and m[i][col]:
-                t = m[i][col]
-                m[i] = [(a - t * b) % p for a, b in zip(m[i], m[rank])]
-        rank += 1
-        col += 1
-    return rank
+def _dims(sizes, ranks) -> list[int]:
+    """dim H^k = dim C^k - rank(d^k) - rank(d^(k-1)), with ranks[k] = rank(d^k)."""
+    ranks = list(ranks) + [0]
+    return [sizes[k] - ranks[k] - (ranks[k - 1] if k else 0) for k in range(len(sizes))]
 
 
 def _pattern_dims(fan: Fan, pattern, check_prime=None) -> tuple[int, ...]:
@@ -114,47 +92,32 @@ def _pattern_dims(fan: Fan, pattern, check_prime=None) -> tuple[int, ...]:
     C^k is spanned by the present (k+1)-tuples; the differential is the
     standard alternating sum over dropped indices (absent sub-tuples
     contribute nothing, which is consistent because presence is upward
-    closed).  Returns a tuple of length rank+1; degrees beyond the fan rank
-    must vanish and are checked, not trusted.
+    closed).  Each boundary is ranked once over Q and, with `check_prime`,
+    once over GF(p).  Returns a tuple of length rank+1; degrees beyond the
+    fan rank must vanish and are checked, not trusted.
     """
     r = len(fan.max_cones)
-    present_by_size: dict[int, list[tuple[int, ...]]] = {}
+    present: list[list[tuple[int, ...]]] = [[] for _ in range(r)]
     for subset, rays in _cover_subsets(fan):
         if all(pattern[i] for i in rays):
-            present_by_size.setdefault(len(subset), []).append(subset)
-    index: dict[tuple[int, ...], int] = {}
-    for k in range(1, r + 1):
-        for pos, subset in enumerate(present_by_size.get(k, [])):
-            index[subset] = pos
-
-    sizes = [len(present_by_size.get(k + 1, [])) for k in range(r)]
-    ranks = []
-    ranks_mod = []
+            present[len(subset) - 1].append(subset)
+    index = {subset: pos for tuples in present for pos, subset in enumerate(tuples)}
+    sizes = [len(tuples) for tuples in present]
+    boundaries = []
     for k in range(r - 1):
         rows = []
-        for target in present_by_size.get(k + 2, []):
+        for target in present[k + 1]:
             row = [0] * sizes[k]
             for drop in range(len(target)):
-                source = target[:drop] + target[drop + 1 :]
-                pos = index.get(source)
+                pos = index.get(target[:drop] + target[drop + 1 :])
                 if pos is not None:
                     row[pos] = -1 if drop % 2 else 1
             rows.append(row)
-        ranks.append(_rank_rational(rows, sizes[k]))
-        if check_prime is not None:
-            ranks_mod.append(_rank_mod(rows, sizes[k], check_prime))
-    ranks.append(0)
+        boundaries.append(rows)
 
-    dims = []
-    for k in range(r):
-        below = ranks[k - 1] if k else 0
-        dims.append(sizes[k] - ranks[k] - below)
+    dims = _dims(sizes, [rational_rank(b) if b else 0 for b in boundaries])
     if check_prime is not None:
-        ranks_mod.append(0)
-        dims_mod = []
-        for k in range(r):
-            below = ranks_mod[k - 1] if k else 0
-            dims_mod.append(sizes[k] - ranks_mod[k] - below)
+        dims_mod = _dims(sizes, [rank_mod_p(b, check_prime) if b else 0 for b in boundaries])
         if dims_mod != dims:
             raise ConsistencyError(
                 f"graded Čech ranks differ between Q and GF({check_prime}): {dims} vs {dims_mod}"
@@ -193,20 +156,8 @@ class SupportRegion:
         )
 
     def points(self) -> list[IntVector]:
-        pts = []
-
-        def scan(prefix):
-            i = len(prefix)
-            if i == len(self.box):
-                if self.contains(prefix):
-                    pts.append(tuple(prefix))
-                return
-            lo, hi = self.box[i]
-            for x in range(lo, hi + 1):
-                scan(prefix + [x])
-
-        scan([])
-        return pts
+        box = product(*(range(lo, hi + 1) for lo, hi in self.box))
+        return [m for m in box if self.contains(m)]
 
 
 def support_region(fan: Fan, divisor) -> SupportRegion:

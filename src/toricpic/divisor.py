@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import combinations, product
 
 from .errors import HypothesisError, InputError
 from .fan import Fan, validate_fan
@@ -30,6 +30,7 @@ from .lattice import (
     vec_scale,
     vec_sub,
 )
+from .polyhedra import CACHE_SIZE
 
 QVector = tuple[Fraction, ...]
 
@@ -178,7 +179,7 @@ def picard_embedding(fan: Fan) -> PicardEmbedding:
     return emb
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _picard(fan: Fan):
     report = validate_fan(fan)
     if not report.valid:
@@ -246,13 +247,16 @@ class MonomialCocycle:
     rank: int
     entries: tuple[tuple[tuple[int, int], IntVector], ...]
 
+    @cached_property
+    def _table(self) -> dict[tuple[int, int], IntVector]:
+        return dict(self.entries)
+
     def entry(self, i: int, j: int) -> IntVector:
         if i == j:
             return (0,) * self.rank
-        table = dict(self.entries)
-        if (i, j) in table:
-            return table[(i, j)]
-        return vec_scale(-1, table[(j, i)])
+        if (i, j) in self._table:
+            return self._table[(i, j)]
+        return vec_scale(-1, self._table[(j, i)])
 
     def scaled(self, t: int) -> "MonomialCocycle":
         return MonomialCocycle(
@@ -378,7 +382,7 @@ class DivisorPolytope:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _recession_cone_is_zero(rays, n) -> bool:
     # {m : <m,u> >= 0 for all rays} = {0} iff the rays positively span N_R.
     if rational_rank(rays) < n:
@@ -419,7 +423,7 @@ def divisor_polytope(fan: Fan, divisor) -> DivisorPolytope:
         return DivisorPolytope(ineqs, (), -1)
     v0 = verts[0]
     dirs = [tuple(a - b for a, b in zip(v, v0)) for v in verts[1:]]
-    dim = rational_rank(dirs) if dirs else 0
+    dim = rational_rank(dirs)
     return DivisorPolytope(ineqs, verts, dim)
 
 
@@ -448,25 +452,17 @@ def lattice_points(polytope: DivisorPolytope, interior_only: bool = False) -> li
             for normal, rhs in polytope.inequalities
         ]
 
-    points = []
+    def inside(m) -> bool:
+        for row, (normal, rhs) in enumerate(polytope.inequalities):
+            val = dot(normal, m)
+            if interior_only and not implicit[row]:
+                if val <= rhs:
+                    return False
+            elif val < rhs:
+                return False
+        return True
 
-    def scan(prefix):
-        i = len(prefix)
-        if i == n:
-            for row, (normal, rhs) in enumerate(polytope.inequalities):
-                val = dot(normal, prefix)
-                if interior_only and not implicit[row]:
-                    if val <= rhs:
-                        return
-                elif val < rhs:
-                    return
-            points.append(tuple(prefix))
-            return
-        for x in range(lo[i], hi[i] + 1):
-            scan(prefix + [x])
-
-    scan([])
-    return points
+    return [m for m in product(*(range(a, b + 1) for a, b in zip(lo, hi))) if inside(m)]
 
 
 def is_basepoint_free(fan: Fan, divisor) -> bool:

@@ -16,6 +16,7 @@ from itertools import combinations
 from .errors import InputError
 from .lattice import IntVector, dot, invariant_factors, primitive
 from .polyhedra import (
+    CACHE_SIZE,
     cone_contains,
     cone_dim,
     cone_hrep,
@@ -116,7 +117,7 @@ class Fan:
         return f"Fan(rank={self.rank}, rays={len(self.rays)}, max_cones={len(self.max_cones)})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def validate_fan(fan: Fan) -> FanReport:
     """Full geometric validation plus the smooth/complete predicates.
 

@@ -6,14 +6,16 @@ row tuples, vectors are tuples.  This module is the substrate for class
 group computations and cocycle manipulation: Smith/Hermite normal forms
 with unimodular transforms, integer kernels and cokernels, and integer
 linear system solving with a deterministic (Hermite-based) particular
-solution.
+solution.  All row elimination over a field goes through one
+fraction-free Gauss-Jordan routine, `rref`, over Q or GF(p): ranks,
+rational kernels and solutions, and determinants read its output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InputError
 
@@ -102,33 +104,6 @@ def primitive(v) -> IntVector:
     if g == 0:
         raise InputError("zero vector has no primitive representative")
     return tuple(x // g for x in v)
-
-
-def det(rows) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    a = _as_matrix(rows)
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise InputError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +228,6 @@ def invariant_factors(rows) -> tuple[int, ...]:
     """Nonzero diagonal entries of the Smith normal form."""
     _, s, _ = smith_normal_form(rows)
     return tuple(s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)) if s[i][i])
-
-
-def rank(rows) -> int:
-    return len(invariant_factors(rows))
 
 
 def hermite_normal_form(rows) -> tuple[IntMatrix, IntMatrix]:
@@ -477,76 +448,114 @@ def cokernel(rows, ambient_rank=None) -> AbelianGroupPresentation:
 
 
 # ---------------------------------------------------------------------------
-# Exact rational elimination (used by the polyhedral and cohomology layers)
+# Exact elimination over Q and GF(p) (used by every layer above this one)
 # ---------------------------------------------------------------------------
 
-def rational_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (matrix, pivot columns)."""
-    m = [[Fraction(x) for x in r] for r in rows]
+def _integer_row(row) -> list[int]:
+    """The row times the lcm of its denominators: integer, on the same ray."""
+    # A list, not a generator: unpacking a generator into the call resizes a
+    # fresh argument tuple each time, which CPython's tuple free lists keep.
+    den = lcm(*[x.denominator for x in row])
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def rref(rows, p=None) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination over Q, or over GF(p) for a prime p.
+
+    Rows hold integers or Fractions; each row is first multiplied by the
+    lcm of its denominators, which changes neither its row space nor its
+    reduced form.  Returns (m, pivots, d, sign) with integer m.  Over Q
+    this is Bareiss's one-step integer-preserving elimination: every entry
+    stays a minor of the cleared matrix, each division by the previous
+    pivot is exact, and m = d·RREF, where d is the last pivot and sign
+    the parity of the row swaps.  Over GF(p) entries are reduced mod p,
+    rows are only scaled by units (d = 1) and just the pivots are read.
+    """
+    m = [_integer_row(r) for r in rows]
+    if p is not None:
+        m = [[x % p for x in r] for r in m]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for j in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][j] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][j]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][j] != 0:
-                t = m[i][j]
-                m[i] = [a - t * b for a, b in zip(m[i], m[r])]
-        pivots.append(j)
-        r += 1
+    pivots: list[int] = []
+    prev = sign = 1
+    for c in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
-    return m, pivots
+        k = next((i for i in range(r, nrows) if m[i][c]), None)
+        if k is None:
+            continue
+        if k != r:
+            m[r], m[k] = m[k], m[r]
+            sign = -sign
+        top = m[r]
+        piv = top[c]
+        for i, row in enumerate(m):
+            if i == r:
+                continue
+            f = row[c]
+            if p is not None:
+                if f:
+                    m[i] = [(x * piv - f * y) % p for x, y in zip(row, top)]
+            elif f or piv != prev:
+                m[i] = [(x * piv - f * y) // prev for x, y in zip(row, top)]
+        pivots.append(c)
+        if p is None:
+            prev = piv
+    return m, pivots, prev, sign
 
 
 def rational_rank(rows) -> int:
-    return len(rational_rref(rows)[1])
+    return len(rref(rows)[1])
+
+
+def rank_mod_p(rows, p: int) -> int:
+    return len(rref(rows, p)[1])
 
 
 def rational_kernel(rows) -> list[tuple[Fraction, ...]]:
-    """Basis of the rational kernel {x : A·x = 0}."""
+    """Basis of the rational kernel {x : A·x = 0}, one vector per free column."""
     if not rows:
         return []
-    ncols = len(rows[0])
-    m, pivots = rational_rref(rows)
-    free = [j for j in range(ncols) if j not in pivots]
+    m, pivots, d, _ = rref(rows)
+    ncols = len(m[0])
     basis = []
-    for j in free:
+    for j in range(ncols):
+        if j in pivots:
+            continue
         x = [Fraction(0)] * ncols
         x[j] = Fraction(1)
         for r, pj in enumerate(pivots):
-            x[pj] = -m[r][j]
+            x[pj] = Fraction(-m[r][j], d)
         basis.append(tuple(x))
     return basis
 
 
 def rational_solve(rows, b) -> tuple[Fraction, ...] | None:
-    """Some rational solution of A·x = b, or None if inconsistent."""
+    """Some rational solution of A·x = b (free variables 0), or None if inconsistent."""
     if not rows:
         return () if all(x == 0 for x in b) else None
     ncols = len(rows[0])
-    aug = [list(r) + [bb] for r, bb in zip(rows, b)]
-    m, pivots = rational_rref(aug)
+    m, pivots, d, _ = rref([list(r) + [bb] for r, bb in zip(rows, b)])
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
     for r, pj in enumerate(pivots):
-        x[pj] = m[r][ncols]
+        x[pj] = Fraction(m[r][ncols], d)
     return tuple(x)
+
+
+def det(rows) -> int:
+    """Exact determinant of a square integer matrix: the signed last pivot."""
+    a = _as_matrix(rows)
+    n = len(a)
+    if any(len(r) != n for r in a):
+        raise InputError("determinant of a non-square matrix")
+    _, pivots, d, sign = rref(a)
+    return sign * d if len(pivots) == n else 0
 
 
 def scale_to_integer(vec) -> IntVector:
     """Clear denominators and divide by the content: the primitive integer
     vector on the same ray as a nonzero rational vector."""
-    fracs = [Fraction(x) for x in vec]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fracs]
-    return primitive(ints)
+    return primitive(_integer_row(vec))

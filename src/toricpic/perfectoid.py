@@ -234,35 +234,30 @@ class LevelSeries:
     bases: tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def cohomology_series(fan: Fan, l: PerfectoidBundle, degree: int, n_max: int,
-                      assume_trivialization: bool = False) -> LevelSeries:
-    """Level-wise cohomology of the bundle: dims[n] = dim H^degree(X, p^n·D)."""
-    _require_perfectoid_fan(fan, assume_trivialization)
+def _level_tables(fan: Fan, l: PerfectoidBundle, n_max: int) -> list:
+    """The graded cohomology table of p^n·D for n = 0..n_max, one per level."""
     if fan != l.fan:
         raise InputError("bundle does not live on this fan")
-    degree = int(degree)
-    n_max = int(n_max)
-    if not (0 <= degree <= fan.rank):
-        raise InputError(f"cohomological degree must lie in 0..{fan.rank}")
     if n_max < 0:
         raise InputError("n_max must be non-negative")
     d = l.representative
     if cartier_witnesses(fan, d) is None:
         raise HypothesisError("bundle representative is not Cartier")
-    dims = []
-    bases = []
-    for n in range(n_max + 1):
-        table = cohomology(fan, (l.p ** n) * d, want_graded=True)
-        dims.append(table.dims[degree])
-        bases.append(table.graded[degree])
+    return [cohomology(fan, (l.p ** n) * d, want_graded=True) for n in range(n_max + 1)]
+
+
+def _series(p: int, tables, degree: int) -> LevelSeries:
+    """Read the level series of one cohomological degree off the level tables."""
+    dims = tuple(table.dims[degree] for table in tables)
+    bases = [table.graded[degree] for table in tables]
     if not any(dims):
         verdict = VANISHES
     else:
         verdict = STABILIZES
-        for n in range(n_max):
+        for n in range(len(bases) - 1):
             nxt = dict(bases[n + 1])
             for m, mult in bases[n]:
-                scaled = tuple(l.p * x for x in m)
+                scaled = tuple(p * x for x in m)
                 if nxt.get(scaled, 0) < mult:
                     verdict = GROWING
                     break
@@ -271,7 +266,17 @@ def cohomology_series(fan: Fan, l: PerfectoidBundle, degree: int, n_max: int,
     basis_degrees = tuple(
         tuple(m for m, mult in level for _ in range(mult)) for level in bases
     )
-    return LevelSeries(degree, tuple(dims), verdict, basis_degrees)
+    return LevelSeries(degree, dims, verdict, basis_degrees)
+
+
+def cohomology_series(fan: Fan, l: PerfectoidBundle, degree: int, n_max: int,
+                      assume_trivialization: bool = False) -> LevelSeries:
+    """Level-wise cohomology of the bundle: dims[n] = dim H^degree(X, p^n·D)."""
+    _require_perfectoid_fan(fan, assume_trivialization)
+    degree = int(degree)
+    if not (0 <= degree <= fan.rank):
+        raise InputError(f"cohomological degree must lie in 0..{fan.rank}")
+    return _series(l.p, _level_tables(fan, l, int(n_max)), degree)
 
 
 def polytope_dimension(fan: Fan, l: PerfectoidBundle) -> int:
@@ -302,9 +307,10 @@ def perfectoid_demazure(fan: Fan, l: PerfectoidBundle, n_max: int,
     _require_perfectoid_fan(fan, assume_trivialization)
     if not _globally_generated(fan, l, n_max):
         return CheckVerdict("not-applicable", {"reason": "no basepoint-free representative"})
+    tables = _level_tables(fan, l, n_max)
     series = {}
     for i in range(1, fan.rank + 1):
-        s = cohomology_series(fan, l, i, n_max, assume_trivialization)
+        s = _series(l.p, tables, i)
         series[i] = s.dims
         if s.verdict != VANISHES:
             return CheckVerdict("fail", {"offending_degree": i, "dims": s.dims})
@@ -339,8 +345,9 @@ def perfectoid_batyrev_borisov(fan: Fan, l: PerfectoidBundle, n_max: int,
                 details["reason"] = f"basis embedding fails at level {n} for degree {m}"
                 return CheckVerdict("fail", details)
     # Independent route: the actual Čech cohomology of the inverse bundle.
+    tables = _level_tables(fan, inverse(l), n_max)
     for i in range(fan.rank + 1):
-        s = cohomology_series(fan, inverse(l), i, n_max, assume_trivialization)
+        s = _series(l.p, tables, i)
         if i != d_dim:
             if any(s.dims):
                 details["offending_degree"] = i

@@ -26,13 +26,22 @@ from .lattice import (
 Vec = tuple[int, ...]
 
 
-def _span_rank(vectors) -> int:
-    return rational_rank(list(vectors)) if vectors else 0
+# Entries kept by each per-fan cache, here and in fan, divisor and cohomology:
+# a job touches one fan, so a small bound keeps a long-lived process from
+# holding every fan it has seen.
+CACHE_SIZE = 16
+
+
+def _kernel(rows, n: int) -> list[tuple[Fraction, ...]]:
+    """Rational kernel basis of the rows in Q^n; all of Q^n when there are none."""
+    if not rows:
+        return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    return rational_kernel(rows)
 
 
 def cone_dim(gens) -> int:
     """Dimension of cone(gens): the rank of the generator span."""
-    return _span_rank(gens)
+    return rational_rank(gens)
 
 
 def cone_contains(gens, x) -> bool:
@@ -48,10 +57,10 @@ def cone_contains(gens, x) -> bool:
     if not gens:
         return False
     n = len(gens[0])
-    d = _span_rank(gens)
+    d = rational_rank(gens)
     for k in range(1, d + 1):
         for subset in combinations(gens, k):
-            if _span_rank(subset) != k:
+            if rational_rank(subset) != k:
                 continue
             # columns = subset vectors; solve for the coefficients
             a = [[subset[j][i] for j in range(k)] for i in range(n)]
@@ -72,21 +81,19 @@ def is_pointed(gens) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _cone_hrep_cached(gens: tuple[Vec, ...], n: int):
     gens = [g for g in gens if any(g)]
     # Equations: integer basis of the orthogonal complement of span(gens).
-    eqs = tuple(sorted(scale_to_integer(v) for v in rational_kernel([list(g) for g in gens]))) if gens else None
+    eqs = tuple(sorted(scale_to_integer(v) for v in _kernel(gens, n)))
     if not gens:
-        eqs = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         return (), eqs
-    d = _span_rank(gens)
+    d = rational_rank(gens)
     ineqs = set()
     for subset in combinations(gens, d - 1):
-        if _span_rank(subset) != d - 1:
+        if rational_rank(subset) != d - 1:
             continue
-        kern = rational_kernel([list(g) for g in subset]) if subset else \
-            [tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)]
+        kern = _kernel(subset, n)
         # Candidates: kernel vectors not orthogonal to every generator.  All
         # such vectors agree on sign pattern up to a global flip, so the
         # first one decides.
@@ -122,15 +129,14 @@ def cone_extreme_rays(ineqs, eqs, n: int) -> tuple[Vec, ...]:
     """
     ineqs = [tuple(a) for a in ineqs]
     eqs = [tuple(e) for e in eqs]
-    base = _span_rank(eqs)
+    base = rational_rank(eqs)
     need = n - 1 - base
     if need < 0:
         return ()
     rays = set()
     for subset in combinations(ineqs, need):
         rows = eqs + list(subset)
-        kern = rational_kernel([list(r) for r in rows]) if rows else \
-            [tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)]
+        kern = _kernel(rows, n)
         if len(kern) != 1:
             continue
         v = scale_to_integer(kern[0])
@@ -185,11 +191,9 @@ def hull_facets(points, n: int):
         raise ValueError("hull of an empty point set")
     p0 = pts[0]
     dirs = [tuple(a - b for a, b in zip(p, p0)) for p in pts[1:]]
-    d = _span_rank([list(v) for v in dirs]) if dirs else 0
-    eq_normals = rational_kernel([list(v) for v in dirs]) if dirs else \
-        [tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)]
+    d = rational_rank(dirs)
     eqs = []
-    for normal in eq_normals:
+    for normal in _kernel(dirs, n):
         nn = scale_to_integer(normal)
         value = sum(Fraction(a) * b for a, b in zip(nn, p0))
         eqs.append((nn, value))
@@ -199,10 +203,9 @@ def hull_facets(points, n: int):
     for subset in combinations(pts, d):
         s0 = subset[0]
         rows = [[a - b for a, b in zip(p, s0)] for p in subset[1:]]
-        if _span_rank(rows) != d - 1:
+        if rational_rank(rows) != d - 1:
             continue
-        kern = rational_kernel(rows) if rows else [tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)]
-        for cand in kern:
+        for cand in _kernel(rows, n):
             vals = [sum(c * (a - b) for c, a, b in zip(cand, p, s0)) for p in pts]
             if all(v == 0 for v in vals):
                 continue

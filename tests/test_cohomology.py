@@ -1,5 +1,6 @@
 """Graded Čech cohomology, vanishing checks, support-region soundness."""
 
+import importlib
 import random
 
 import pytest
@@ -136,10 +137,27 @@ def test_cohomology_graded_degrees_negate_interior():
     assert table.graded[2] == (((-1, -1), 1),)
 
 
+def blown_up_plane(k, rng):
+    """A smooth complete surface with k rays: P2 with k - 3 corners blown up."""
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    while len(rays) < k:
+        i = rng.randrange(len(rays))
+        u, v = rays[i], rays[(i + 1) % len(rays)]
+        rays.insert(i + 1, (u[0] + v[0], u[1] + v[1]))
+    return Fan(2, rays, [(i, (i + 1) % k) for i in range(k)])
+
+
 def test_cohomology_mod_p_cross_check():
     for q in (2, 3, 5):
         table = cohomology(P2, hyperplane(-3), check_prime=q)
         assert table.dims == {0: 0, 1: 0, 2: 1}
+    rng = random.Random(67)
+    for k in (5, 6, 7):
+        fan = blown_up_plane(k, rng)
+        d = TDivisor(tuple(rng.randint(-2, 2) for _ in range(k)))
+        dims = cohomology(fan, d).dims
+        for q in (2, 3):
+            assert cohomology(fan, d, check_prime=q).dims == dims
 
 
 def test_cohomology_mod_p_requires_prime():
@@ -359,3 +377,21 @@ def test_principal_twist_does_not_change_cohomology():
             a = cohomology(fan, d).dims
             b = cohomology(fan, d + principal_divisor(fan, m)).dims
             assert a == b
+
+
+def test_per_fan_caches_stay_bounded():
+    from toricpic.divisor import picard_group
+
+    module = {name: importlib.import_module(f"toricpic.{name}")
+              for name in ("fan", "polyhedra", "divisor", "cohomology")}
+    polyhedra = module["polyhedra"]
+    caches = (module["fan"].validate_fan, polyhedra._cone_hrep_cached, module["divisor"]._picard,
+              module["divisor"]._recession_cone_is_zero, module["cohomology"]._cover_subsets)
+    # Shears of P2: more distinct fans than any cache may hold.
+    for s in range(polyhedra.CACHE_SIZE + 4):
+        sheared = Fan(2, [(1, 0), (s, 1), (-1 - s, -1)], [(0, 1), (1, 2), (2, 0)])
+        assert cohomology(sheared, (0, 0, 1)).dims == {0: 3, 1: 0, 2: 0}
+        assert picard_group(sheared).describe() == "Z"
+    for cache in caches:
+        assert cache.cache_info().maxsize == polyhedra.CACHE_SIZE
+        assert cache.cache_info().currsize <= polyhedra.CACHE_SIZE

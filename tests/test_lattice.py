@@ -14,6 +14,7 @@ from toricpic.lattice import (
     invariant_factors,
     matmul,
     matvec,
+    rank_mod_p,
     rational_kernel,
     rational_rank,
     rational_solve,
@@ -226,6 +227,59 @@ def test_describe():
     assert cokernel([[], []]).describe() == "Z^2"
 
 
+def random_matrices(seed, count):
+    """Seeded integer and rational matrices up to 7x7, some of them with a
+    zero row, a repeated row or low rank."""
+    rng = random.Random(seed)
+    for t in range(count):
+        r, c = rng.randint(1, 7), rng.randint(1, 7)
+        a = [[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)]
+        if t % 3 == 1:
+            k = rng.randint(1, min(r, c))
+            a = [[sum(rng.randint(-2, 2) * a[s][j] for s in range(k)) for j in range(c)] for _ in range(r)]
+        if r > 1 and rng.random() < 0.3:
+            a[rng.randrange(r)] = [0] * c
+        if r > 1 and rng.random() < 0.3:
+            a[rng.randrange(r)] = list(a[rng.randrange(r)])
+        if t % 2:
+            a = [[Fraction(x, rng.randint(1, 4)) for x in row] for row in a]
+        yield a
+
+
+def cleared(a):
+    """Each row times the product of its denominators: an integer matrix
+    with the same rank, kernel and solutions."""
+    out = []
+    for row in a:
+        den = 1
+        for x in row:
+            den *= Fraction(x).denominator
+        out.append(tuple(int(x * den) for x in row))
+    return out
+
+
+def test_elimination_readers_random():
+    rng = random.Random(37)
+    for a in random_matrices(41, 400):
+        ncols = len(a[0])
+        factors = invariant_factors(cleared(a))
+        rank = rational_rank(a)
+        assert rank == len(factors)
+        if all(isinstance(x, int) for row in a for x in row):
+            for p in (2, 3, 5):
+                assert rank_mod_p(a, p) == sum(1 for d in factors if d % p)
+        kernel = rational_kernel(a)
+        assert len(kernel) == ncols - rank
+        for x in kernel:
+            assert all(sum(q * y for q, y in zip(row, x)) == 0 for row in a)
+        for b in (tuple(rng.randint(-4, 4) for _ in a), tuple(sum(row) for row in a)):
+            x = rational_solve(a, b)
+            consistent = rational_rank([list(row) + [y] for row, y in zip(a, b)]) == rank
+            assert (x is not None) == consistent
+            if x is not None:
+                assert tuple(sum(q * y for q, y in zip(row, x)) for row in a) == b
+
+
 def test_rational_solve_and_kernel():
     a = ((1, 2), (2, 4))
     assert rational_solve(a, (1, 3)) is None
@@ -239,26 +293,18 @@ def test_rational_solve_and_kernel():
 def test_det():
     assert det(((2, 0), (0, 3))) == 6
     assert det(((0, 1), (1, 0))) == -1
-    rng = random.Random(31)
-    for _ in range(20):
-        n = rng.randint(1, 4)
-        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        # Cross-check Bareiss against fraction elimination.
-        m = [[Fraction(x) for x in row] for row in a]
-        d = Fraction(1)
-        for k in range(n):
-            piv = next((i for i in range(k, n) if m[i][k]), None)
-            if piv is None:
-                d = Fraction(0)
-                break
-            if piv != k:
-                m[k], m[piv] = m[piv], m[k]
-                d = -d
-            d *= m[k][k]
-            for i in range(k + 1, n):
-                t = m[i][k] / m[k][k]
-                m[i] = [x - t * y for x, y in zip(m[i], m[k])]
-        assert det(a) == d
+    assert det(()) == 1
+
+    def cofactor(m):
+        if not m:
+            return 1
+        return sum((-1) ** j * m[0][j] * cofactor([row[:j] + row[j + 1 :] for row in m[1:]])
+                   for j in range(len(m)) if m[0][j])
+
+    for a in random_matrices(31, 120):
+        n = min(len(a), len(a[0]))
+        square = [row[:n] for row in cleared(a)[:n]]
+        assert det(square) == cofactor(square)
 
 
 def test_ragged_matrix_rejected():

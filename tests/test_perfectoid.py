@@ -1,5 +1,6 @@
 """Bundle arithmetic in Pic[1/p], level series, perfectoid vanishing checks."""
 
+import importlib
 import random
 
 import pytest
@@ -305,3 +306,23 @@ def test_perfectoid_bb_trivial():
     assert verdict.passed
     assert verdict.details["polytope_dim"] == 0
     assert verdict.details["level_basis_sizes"] == (1, 1, 1)
+
+
+def test_perfectoid_checks_compute_each_level_once(monkeypatch):
+    # One graded table per level, read for every cohomological degree.
+    perfectoid = importlib.import_module("toricpic.perfectoid")
+    original = perfectoid.cohomology
+    calls = []
+
+    def counting(fan, divisor, *args, **kwargs):
+        calls.append(divisor)
+        return original(fan, divisor, *args, **kwargs)
+
+    monkeypatch.setattr(perfectoid, "cohomology", counting)
+    p3 = named_fan("P3")
+    l = from_divisor(p3, (0, 0, 0, 1), 2, 0)
+    assert perfectoid_batyrev_borisov(p3, l, 3).passed
+    assert len(calls) == 4
+    calls.clear()
+    assert perfectoid_demazure(p3, l, 3).passed
+    assert len(calls) == 4

@@ -2,9 +2,9 @@
 
 A fan is stored by its rays (primitive integer vectors in N) and its
 maximal cones (index sets into the ray list); faces are derived on demand.
-Validation is the expensive honest check: every pairwise intersection of
-maximal cones is computed polyhedrally and compared against the face
-lattice of both sides.
+Validation checks geometry, not index sets: for every pair of maximal
+cones, the separation lemma decides exactly whether they meet in a common
+face, with a few small kernels per pair.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from .polyhedra import (
     cone_contains,
     cone_dim,
     cone_hrep,
-    cone_intersection_rays,
-    is_face_of,
     is_pointed,
+    meet_in_common_face,
 )
 
 MAX_RANK = 6  # all algorithms are exponential in the rank; desk scale is n <= 4
@@ -124,9 +123,9 @@ def validate_fan(fan: Fan) -> FanReport:
     valid: rays primitive (guaranteed by construction, re-checked), every
     maximal cone strongly convex with irredundant generators, no maximal
     cone contained in another, every ray used, and every pairwise
-    intersection of maximal cones is a common face (checked against the
-    polyhedral intersection, not the index sets).  Diagnostics name the
-    first violation of each kind.
+    intersection of maximal cones is a common face (decided from the
+    generators by the separation lemma, see `meet_in_common_face`, not read
+    off the index sets).  Diagnostics name the first violation of each kind.
     """
     diags = []
     n = fan.rank
@@ -166,8 +165,7 @@ def validate_fan(fan: Fan) -> FanReport:
                     f"maximal cone {list(a.ray_indices)} and {list(b.ray_indices)}: one contains the other"
                 )
                 break
-            meet = cone_intersection_rays(ga, gb, n)
-            if not (is_face_of(meet, ga, n) and is_face_of(meet, gb, n)):
+            if not meet_in_common_face(ga, gb, n):
                 diags.append(
                     f"intersection of cones {list(a.ray_indices)} and {list(b.ray_indices)} is not a common face"
                 )

@@ -1,12 +1,15 @@
-"""Brute-force exact polyhedral geometry over the rationals.
+"""Exact polyhedral geometry over the rationals.
 
 Cones are handled through both descriptions: generators (V-representation)
-and inequality/equation normals (H-representation).  All conversions work
-by enumerating small subsets and solving tiny exact linear systems; this is
+and inequality/equation normals (H-representation).  Conversions between
+them enumerate small subsets and solve tiny exact linear systems; this is
 deliberate: fan ranks are capped at 6 and generator counts stay in the
-tens, where subset enumeration beats any clever geometry and is easy to
-trust.  Everything is deterministic: outputs are sorted tuples of primitive
-integer vectors.
+tens, where subset enumeration is cheap and easy to trust.  The predicates
+that validate a fan need no conversion: membership tries only bases of
+the generator span, and strong convexity and the common-face test of two
+cones are sign conditions (Gordan's alternative) decided on the circuits
+of a few vectors.  Everything is deterministic: outputs are sorted tuples
+of primitive integer vectors.
 """
 
 from __future__ import annotations
@@ -44,41 +47,95 @@ def cone_dim(gens) -> int:
     return rational_rank(gens)
 
 
+def _positively_dependent(vecs) -> bool:
+    """Whether sum lambda_i v_i = 0 for some nonzero lambda >= 0.
+
+    Gordan's alternative: this fails exactly when some linear form is
+    positive on every vector.  A nonnegative kernel vector is a conformal
+    sum of circuit vectors (Rockafellar 1969), so it exists iff some
+    circuit has a one-signed kernel vector.  With N vectors and a kernel of
+    dimension d, every circuit lies in a subset of N - d + 1 vectors whose
+    kernel is a line, and only those subsets are tried.
+    """
+    if any(not any(v) for v in vecs):
+        return True
+    if not vecs:
+        return False
+    # The vectors are the columns.  Each kernel basis vector has a 1 in its
+    # free column, so it is one-signed iff it is nonnegative.
+    rows = list(zip(*vecs))
+    kernel = rational_kernel(rows)
+    if len(kernel) <= 1:
+        return any(min(k) >= 0 for k in kernel)
+    for subset in combinations(range(len(vecs)), len(vecs) - len(kernel) + 1):
+        kern = rational_kernel([[row[j] for j in subset] for row in rows])
+        if len(kern) == 1 and min(kern[0]) >= 0:
+            return True
+    return False
+
+
 def cone_contains(gens, x) -> bool:
     """Exact membership x in cone(gens) = {sum lambda_i g_i : lambda_i >= 0}.
 
-    Caratheodory: a member lies in the cone over some linearly independent
-    subset of the generators, so it suffices to test those subsets, each via
-    one rational solve with a nonnegativity check.
+    Caratheodory: a member is a nonnegative combination of linearly
+    independent generators, and those extend to a basis of span(gens)
+    drawn from gens, so only such bases are tried, one rational solve
+    each.  The first solve, over all generators, answers False when x lies
+    outside span(gens).  A later subset that is not a basis may still give
+    a nonnegative solution, which is then a valid certificate.
     """
-    gens = [tuple(g) for g in gens]
-    if all(v == 0 for v in x):
+    if not any(x):
         return True
+    gens = [tuple(g) for g in gens]
     if not gens:
         return False
     n = len(gens[0])
+
+    def solve(subset):
+        return rational_solve([[g[i] for g in subset] for i in range(n)], x)
+
+    coeffs = solve(gens)
+    if coeffs is None:
+        return False
+    if all(c >= 0 for c in coeffs):
+        return True
     d = rational_rank(gens)
-    for k in range(1, d + 1):
-        for subset in combinations(gens, k):
-            if rational_rank(subset) != k:
-                continue
-            # columns = subset vectors; solve for the coefficients
-            a = [[subset[j][i] for j in range(k)] for i in range(n)]
-            coeffs = rational_solve(a, x)
-            if coeffs is not None and all(c >= 0 for c in coeffs):
-                return True
+    for subset in combinations(gens, d):
+        coeffs = solve(subset)
+        if coeffs is not None and all(c >= 0 for c in coeffs):
+            return True
     return False
 
 
 def is_pointed(gens) -> bool:
     """No line through the origin: cone(gens) is strongly convex.
 
-    cone(G) contains a line iff -g lies in cone(G) for some generator g.
+    cone(G) contains a line iff its nonzero generators are positively
+    dependent; a linearly independent set answers after one elimination.
     """
-    gens = [tuple(g) for g in gens]
-    return not any(
-        any(v != 0 for v in g) and cone_contains(gens, tuple(-v for v in g)) for g in gens
-    )
+    return not _positively_dependent([tuple(g) for g in gens if any(g)])
+
+
+def meet_in_common_face(gens1, gens2, n: int) -> bool:
+    """Whether cone(gens1) and cone(gens2) meet in a face of both.
+
+    Both cones must be pointed with irredundant primitive generators, as
+    the maximal cones of a fan are once checked.  Separation lemma (Cox-
+    Little-Schenck, Lemma 1.2.13): they meet in a common face iff some
+    linear form m vanishes on the shared generators S, is positive on the
+    other generators of the first cone and negative on the other
+    generators of the second; the common face is then cone(S).  Writing m
+    over a kernel basis of S, this asks for a form positive on the other
+    generators of the first cone and the negated other generators of the
+    second, projected to Q^n/span(S): Gordan's alternative.
+    """
+    gens1 = [tuple(g) for g in gens1]
+    gens2 = [tuple(g) for g in gens2]
+    shared = set(gens1) & set(gens2)
+    basis = [scale_to_integer(k) for k in _kernel(sorted(shared), n)]
+    vecs = [tuple(dot(k, g) for k in basis) for g in gens1 if g not in shared]
+    vecs += [tuple(-dot(k, g) for k in basis) for g in gens2 if g not in shared]
+    return not _positively_dependent(vecs)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -146,36 +203,6 @@ def cone_extreme_rays(ineqs, eqs, n: int) -> tuple[Vec, ...]:
         if all(dot(a, w) >= 0 for a in ineqs):
             rays.add(w)
     return tuple(sorted(rays))
-
-
-def cone_intersection_rays(gens1, gens2, n: int) -> tuple[Vec, ...]:
-    """Extreme rays of cone(gens1) ∩ cone(gens2), computed polyhedrally
-    (independent of any fan bookkeeping; used as the intersection oracle)."""
-    a1, e1 = cone_hrep(gens1, n)
-    a2, e2 = cone_hrep(gens2, n)
-    ineqs = tuple(sorted(set(a1) | set(a2)))
-    eqs = tuple(sorted(set(e1) | set(e2)))
-    return cone_extreme_rays(ineqs, eqs, n)
-
-
-def is_face_of(face_gens, cone_gens, n: int) -> bool:
-    """Whether cone(face_gens) is a face of cone(cone_gens).
-
-    The smallest face of a cone containing a subset K is obtained by making
-    tight every inequality that vanishes on K; K is a face iff it equals
-    that smallest face.  Both sides are compared through their primitive
-    extreme-ray sets.
-    """
-    face_gens = [tuple(g) for g in face_gens if any(g)]
-    if not all(cone_contains(cone_gens, g) for g in face_gens):
-        return False
-    ineqs, eqs = cone_hrep(cone_gens, n)
-    tight = [a for a in ineqs if all(dot(a, g) == 0 for g in face_gens)]
-    smallest = cone_extreme_rays(ineqs, tuple(eqs) + tuple(tight), n)
-    # face_gens may list redundant generators; compare extreme-ray sets.
-    a_f, e_f = cone_hrep(face_gens, n)
-    face_extreme = cone_extreme_rays(a_f, e_f, n)
-    return tuple(sorted(smallest)) == tuple(sorted(face_extreme))
 
 
 def hull_facets(points, n: int):

@@ -1,10 +1,13 @@
 """CLI: fan document parsing, dispatch, report format, exit codes."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import toricpic
 from toricpic.cli import JobSpec, load_fan, main, parse_fan_file, run, serialize_fan
 from toricpic.errors import FanParseError
 from toricpic.library import named_fan
@@ -285,10 +288,15 @@ def test_results_deterministic():
 
 
 def test_module_entry_point():
+    # The child imports the package the tests import, also when only
+    # pytest's own pythonpath setting put it on the path.
+    src = str(Path(toricpic.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "toricpic", "perf-pic", "--fan", "named:P2", "--p", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "Z[1/2]" in proc.stdout

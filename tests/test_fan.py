@@ -1,13 +1,22 @@
 """Fan construction, validation, face machinery, smooth/complete predicates."""
 
 import random
+from itertools import combinations
 
+import polyhedral_oracle as oracle
 import pytest
 
 from toricpic.errors import InputError
 from toricpic.fan import Fan, cone_intersection, faces, is_complete, is_smooth, validate_fan
+from toricpic.lattice import dot, integer_kernel, primitive, rational_rank
 from toricpic.library import NAMED_FAN_NAMES, named_fan
-from toricpic.polyhedra import cone_intersection_rays
+from toricpic.polyhedra import (
+    cone_contains,
+    cone_extreme_rays,
+    cone_hrep,
+    is_pointed,
+    meet_in_common_face,
+)
 
 
 def test_p2_is_valid_smooth_complete():
@@ -190,14 +199,12 @@ def test_cone_intersection_rejects_invalid_fan():
 def test_cone_intersection_matches_polyhedral_oracle():
     # On every named (simplicial) fan, the ray-set intersection agrees with
     # the rational-polyhedron intersection computed from H-representations.
-    from itertools import combinations
-
     for name in NAMED_FAN_NAMES:
         fan = named_fan(name)
         for c1, c2 in combinations(fan.max_cones, 2):
             meet = cone_intersection(fan, c1, c2)
-            expected = set(cone_intersection_rays(fan.ray_vectors(c1), fan.ray_vectors(c2), fan.rank))
-            assert set(fan.ray_vectors(meet)) == expected, (name, c1, c2)
+            expected = oracle.cone_intersection_rays(fan.ray_vectors(c1), fan.ray_vectors(c2), fan.rank)
+            assert set(fan.ray_vectors(meet)) == set(expected), (name, c1, c2)
 
 
 def permuted_copy(fan, rng):
@@ -230,3 +237,114 @@ def test_validation_order_independence():
 def test_unknown_named_fan():
     with pytest.raises(InputError):
         named_fan("P4xF2")
+
+
+def _random_vector(rng, n, bound):
+    while True:
+        v = tuple(rng.randint(-bound, bound) for _ in range(n))
+        if any(v):
+            return primitive(v)
+
+
+def _extreme_generators(gens, n):
+    # The primitive extreme rays, or None when cone(gens) holds a line: its
+    # normals then span less than the dual space.
+    ineqs, eqs = cone_hrep(gens, n)
+    if rational_rank(ineqs + eqs) < n:
+        return None
+    return list(cone_extreme_rays(ineqs, eqs, n))
+
+
+def _random_cone_pair(rng, n):
+    """Two pointed cones with irredundant generators, or None.
+
+    Half the pairs lie on either side of a random hyperplane m = 0 that
+    holds their shared generators, so they meet in a common face; a third
+    of those get one generator moved to the wrong side.  The other half
+    are unrelated cones that may share generators.
+    """
+    if rng.random() < 0.5:
+        m = _random_vector(rng, n, 3)
+        plane = integer_kernel([m])
+        shared = []
+        for _ in range(rng.randint(0, n - 1)):
+            v = tuple(sum(rng.randint(-2, 2) * b[i] for b in plane) for i in range(n))
+            if any(v):
+                shared.append(primitive(v))
+
+        def side(sign, count):
+            out = []
+            while len(out) < count:
+                v = _random_vector(rng, n, 3)
+                if sign * dot(m, v) > 0:
+                    out.append(v)
+            return out
+
+        first = shared + side(1, rng.randint(1, n))
+        second = shared + side(-1, rng.randint(1, n))
+        if rng.random() < 1 / 3:
+            second[-1] = side(1, 1)[0]
+    else:
+        first = [_random_vector(rng, n, 2) for _ in range(rng.randint(1, n + 2))]
+        second = rng.sample(first, rng.randint(0, len(first))) + [
+            _random_vector(rng, n, 2) for _ in range(rng.randint(1, n + 1))
+        ]
+    first, second = _extreme_generators(first, n), _extreme_generators(second, n)
+    return None if first is None or second is None else (first, second)
+
+
+def test_common_face_predicate_matches_polyhedral_oracle():
+    # The separation-lemma test against the H-representation route it
+    # replaced, on pairs of pointed cones with irredundant generators.
+    rng = random.Random(20260318)
+    outcomes = {True: 0, False: 0}
+    non_simplicial = shared = 0
+    pairs = 0
+    while pairs < 960:
+        n = 2 + pairs % 3
+        pair = _random_cone_pair(rng, n)
+        if pair is None:
+            continue
+        first, second = pair
+        got = meet_in_common_face(first, second, n)
+        assert got == oracle.meet_in_common_face(first, second, n), (n, first, second)
+        outcomes[got] += 1
+        non_simplicial += len(first) > n or len(second) > n
+        shared += bool(set(first) & set(second))
+        pairs += 1
+    assert min(outcomes.values()) >= 150, outcomes
+    assert non_simplicial >= 50 and shared >= 200, (non_simplicial, shared)
+
+
+def test_cone_membership_and_pointedness_match_oracles():
+    # Bases-only membership against every independent subset; pointedness
+    # against "-g in cone(G)".  The cones include lines, zero generators and
+    # lower-dimensional spans, and the points include some outside the span.
+    rng = random.Random(7130)
+    kinds = ("line", "pointed", "zero_generator", "inside", "outside_span", "outside_in_span")
+    seen = dict.fromkeys(kinds, 0)
+    for trial in range(500):
+        n = 1 + trial % 4
+        basis = [_random_vector(rng, n, 2) for _ in range(rng.randint(1, n))]
+        gens = []
+        for _ in range(rng.randint(0, n + 3)):
+            coeffs = [rng.randint(-2, 2) for _ in basis]
+            gens.append(tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(n)))
+        pointed = is_pointed(gens)
+        assert pointed == (not oracle.has_line(gens)), gens
+        seen["pointed" if pointed else "line"] += 1
+        seen["zero_generator"] += any(not any(g) for g in gens)
+        points = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(4)]
+        for _ in range(4):
+            weights = [rng.randint(-1, 3) for _ in gens]
+            points.append(tuple(sum(w * g[i] for w, g in zip(weights, gens)) for i in range(n)))
+        for x in points:
+            inside = cone_contains(gens, x)
+            assert inside == oracle.caratheodory_contains(gens, x), (gens, x)
+            if inside:
+                seen["inside"] += 1
+            elif rational_rank(gens + [x]) > rational_rank(gens):
+                seen["outside_span"] += 1
+            else:
+                seen["outside_in_span"] += 1
+    assert min(seen.values()) >= 100, seen

@@ -8,7 +8,6 @@ from .cohomology import (
     cohomology,
     demazure_vanishing_check,
     graded_piece_cohomology,
-    support_complex,
     support_region,
 )
 from .divisor import (

@@ -1,14 +1,17 @@
 """Exact line-bundle cohomology on complete simplicial fans.
 
-H^i(X, O(D)) is computed degree by degree through the M-graded Čech
-complex over the maximal-cone cover: the degree-m piece keeps exactly the
-chart tuples on whose intersection chi^m is a section, and its cohomology
-is computed from exact ranks of the ±1 boundary matrices, taken by the
-fraction-free elimination kernel of `lattice` (over GF(p) as well, when a
-mod-p cross-check is asked for).  Degrees are enumerated over a
-finite support region (convex hull of the Cartier witnesses and the
-polytope vertices, dilated by one in every coordinate); degrees sharing a
-sign pattern share a complex, so each pattern is ranked once.
+H^i(X, O(D)) is computed degree by degree from the complex of negative
+cones (Cox–Little–Schenck, Toric Varieties, Thm 9.1.3): in degree m,
+H^p(X, O(D))_m is the reduced cohomology H~^(p-1) of V_{D,m}, and on a
+simplicial fan V_{D,m} is the simplicial complex of the cones whose rays
+u all satisfy <m, u> < -a.  Its cochains are at most the cones of the fan
+plus the empty face, so the work per degree is polynomial in fan size.
+The ±1 coboundaries are ranked exactly by the fraction-free elimination
+kernel of `lattice` (over GF(p) as well, when a mod-p cross-check is
+asked for).  Degrees are enumerated over a finite support region (convex
+hull of the Cartier witnesses and the polytope vertices, dilated by one in
+every coordinate); degrees sharing a sign pattern share a complex, so each
+pattern is ranked once.
 """
 
 from __future__ import annotations
@@ -43,41 +46,28 @@ def require_cohomology_fan(fan: Fan) -> None:
             raise HypothesisError("cohomology requires a simplicial fan")
 
 
+def _require_prime(check_prime) -> None:
+    if check_prime is None:
+        return
+    if type(check_prime) is not int or not is_prime(check_prime):
+        raise InputError(f"--modp-check value {check_prime} is not prime")
+
+
 @lru_cache(maxsize=CACHE_SIZE)
-def _cover_subsets(fan: Fan):
-    """All nonempty tuples of maximal-cone indices together with the ray set
-    of the corresponding intersection (valid fans: shared rays)."""
-    r = len(fan.max_cones)
-    out = []
-    for k in range(1, r + 1):
-        for subset in combinations(range(r), k):
-            rays = set(fan.max_cones[subset[0]].ray_indices)
-            for i in subset[1:]:
-                rays &= set(fan.max_cones[i].ray_indices)
-            out.append((subset, tuple(sorted(rays))))
-    return tuple(out)
+def _cones_by_size(fan: Fan) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every cone of a simplicial fan as a sorted tuple of ray indices,
+    grouped by size: entry s lists the cones with s rays, from the zero
+    cone up to the maximal cones.  The cones are the faces of the maximal
+    cones, that is, all subsets of their rays."""
+    found: list[set[tuple[int, ...]]] = [set() for _ in range(fan.rank + 1)]
+    for cone in fan.max_cones:
+        for s in range(len(cone.ray_indices) + 1):
+            found[s].update(combinations(cone.ray_indices, s))
+    return tuple(tuple(sorted(cones)) for cones in found)
 
 
 def _sign_pattern(fan: Fan, coeffs, m) -> tuple[bool, ...]:
     return tuple(dot(m, u) >= -a for u, a in zip(fan.rays, coeffs))
-
-
-def support_complex(fan: Fan, divisor, m) -> list[tuple[int, ...]]:
-    """Chart tuples I with chi^m a section of O(D) on the intersection U_I.
-
-    Membership of a tuple asks the polytope inequalities only on the rays
-    of the intersection cone, so the family is upward closed: once a tuple
-    is present, every larger tuple is present as well.
-    """
-    d = as_divisor(fan, divisor)
-    require_cohomology_fan(fan)
-    m = tuple(int(x) for x in m)
-    pattern = _sign_pattern(fan, d.coeffs, m)
-    return [
-        subset
-        for subset, rays in _cover_subsets(fan)
-        if all(pattern[i] for i in rays)
-    ]
 
 
 def _dims(sizes, ranks) -> list[int]:
@@ -87,46 +77,39 @@ def _dims(sizes, ranks) -> list[int]:
 
 
 def _pattern_dims(fan: Fan, pattern, check_prime=None) -> tuple[int, ...]:
-    """Cohomology dimensions of the Čech complex attached to a sign pattern.
+    """Cohomology dimensions h^0..h^rank in the degrees of one sign pattern.
 
-    C^k is spanned by the present (k+1)-tuples; the differential is the
-    standard alternating sum over dropped indices (absent sub-tuples
-    contribute nothing, which is consistent because presence is upward
-    closed).  Each boundary is ranked once over Q and, with `check_prime`,
-    once over GF(p).  Returns a tuple of length rank+1; degrees beyond the
-    fan rank must vanish and are checked, not trusted.
+    The complex keeps the cones whose rays are all negative (False in the
+    pattern), the zero cone included; it is closed under taking faces.  Its
+    cones with s rays span the reduced cochains C~^(s-1), the zero cone
+    giving the augmentation, so h^p = h~^(p-1) is entry p of the result.
+    The coboundary of a cone drops one ray at a time with alternating
+    signs.  Each coboundary is ranked once over Q and, with `check_prime`,
+    once over GF(p).
     """
-    r = len(fan.max_cones)
-    present: list[list[tuple[int, ...]]] = [[] for _ in range(r)]
-    for subset, rays in _cover_subsets(fan):
-        if all(pattern[i] for i in rays):
-            present[len(subset) - 1].append(subset)
-    index = {subset: pos for tuples in present for pos, subset in enumerate(tuples)}
-    sizes = [len(tuples) for tuples in present]
+    present = [
+        [cone for cone in cones if not any(pattern[i] for i in cone)]
+        for cones in _cones_by_size(fan)
+    ]
     boundaries = []
-    for k in range(r - 1):
+    for s in range(fan.rank):
+        index = {cone: pos for pos, cone in enumerate(present[s])}
         rows = []
-        for target in present[k + 1]:
-            row = [0] * sizes[k]
+        for target in present[s + 1]:
+            row = [0] * len(present[s])
             for drop in range(len(target)):
-                pos = index.get(target[:drop] + target[drop + 1 :])
-                if pos is not None:
-                    row[pos] = -1 if drop % 2 else 1
+                row[index[target[:drop] + target[drop + 1 :]]] = -1 if drop % 2 else 1
             rows.append(row)
         boundaries.append(rows)
 
+    sizes = [len(cones) for cones in present]
     dims = _dims(sizes, [rational_rank(b) if b else 0 for b in boundaries])
     if check_prime is not None:
         dims_mod = _dims(sizes, [rank_mod_p(b, check_prime) if b else 0 for b in boundaries])
         if dims_mod != dims:
             raise ConsistencyError(
-                f"graded Čech ranks differ between Q and GF({check_prime}): {dims} vs {dims_mod}"
+                f"graded ranks differ between Q and GF({check_prime}): {dims} vs {dims_mod}"
             )
-
-    n = fan.rank
-    if any(dims[k] for k in range(n + 1, r)):
-        raise ConsistencyError(f"nonzero cohomology above the fan rank: {dims}")
-    dims = dims[: n + 1] + [0] * max(0, n + 1 - r)
     return tuple(dims)
 
 
@@ -134,6 +117,7 @@ def graded_piece_cohomology(fan: Fan, divisor, m, check_prime=None) -> list[int]
     """Dimensions of H^i(X, O(D)) in the single degree m, for i = 0..rank."""
     d = as_divisor(fan, divisor)
     require_cohomology_fan(fan)
+    _require_prime(check_prime)
     m = tuple(int(x) for x in m)
     if len(m) != fan.rank:
         raise InputError(f"degree has length {len(m)}, expected {fan.rank}")
@@ -199,14 +183,13 @@ class CohomologyTable:
 def cohomology(fan: Fan, divisor, want_graded: bool = False, check_prime=None) -> CohomologyTable:
     """H^i(X, O(D)) for i = 0..rank, summed over the support region.
 
-    One Čech complex is ranked per sign pattern; degrees sharing a pattern
-    share the result.  With `check_prime`, every rank is recomputed modulo
-    that prime and any disagreement raises.
+    One complex of negative cones is ranked per sign pattern; degrees
+    sharing a pattern share the result.  With `check_prime`, every rank is
+    recomputed modulo that prime and any disagreement raises.
     """
     d = as_divisor(fan, divisor)
     require_cohomology_fan(fan)
-    if check_prime is not None and not is_prime(int(check_prime)):
-        raise InputError(f"--modp-check value {check_prime} is not prime")
+    _require_prime(check_prime)
     region = support_region(fan, d)
     n = fan.rank
     pattern_cache: dict[tuple[bool, ...], tuple[int, ...]] = {}

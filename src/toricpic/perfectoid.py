@@ -344,7 +344,7 @@ def perfectoid_batyrev_borisov(fan: Fan, l: PerfectoidBundle, n_max: int,
             if tuple(l.p * x for x in m) not in nxt:
                 details["reason"] = f"basis embedding fails at level {n} for degree {m}"
                 return CheckVerdict("fail", details)
-    # Independent route: the actual Čech cohomology of the inverse bundle.
+    # Independent route: the computed cohomology of the inverse bundle, level by level.
     tables = _level_tables(fan, inverse(l), n_max)
     for i in range(fan.rank + 1):
         s = _series(l.p, tables, i)

@@ -1,28 +1,31 @@
-"""Graded Čech cohomology, vanishing checks, support-region soundness."""
+"""Graded cohomology, vanishing checks, support-region soundness, and the
+negative-cone engine against the Čech oracle and Serre duality."""
 
 import importlib
 import random
+from itertools import product
 
 import pytest
+from cech_oracle import cech_cohomology, cech_pattern_dims, sign_pattern, support_complex
 
 from toricpic.cohomology import (
     batyrev_borisov_check,
     cohomology,
     demazure_vanishing_check,
     graded_piece_cohomology,
-    support_complex,
     support_region,
 )
 from toricpic.divisor import (
     TDivisor,
     divisor_polytope,
     is_basepoint_free,
+    is_cartier,
     lattice_points,
     principal_divisor,
 )
-from toricpic.errors import HypothesisError
+from toricpic.errors import HypothesisError, InputError
 from toricpic.fan import Fan
-from toricpic.library import named_fan
+from toricpic.library import NAMED_FAN_NAMES, named_fan
 
 P2 = named_fan("P2")
 P1xP1 = named_fan("P1xP1")
@@ -161,10 +164,17 @@ def test_cohomology_mod_p_cross_check():
 
 
 def test_cohomology_mod_p_requires_prime():
-    from toricpic.errors import InputError
-
     with pytest.raises(InputError):
         cohomology(P2, hyperplane(1), check_prime=4)
+
+
+def test_graded_piece_mod_p_requires_prime():
+    for q in (0, 1, 4, -3, 2.5, "3", True):
+        with pytest.raises(InputError):
+            graded_piece_cohomology(P2, hyperplane(-3), (-1, -1), check_prime=q)
+        with pytest.raises(InputError):
+            cohomology(P2, hyperplane(-3), check_prime=q)
+    assert graded_piece_cohomology(P2, hyperplane(-3), (-1, -1), check_prime=3) == [0, 0, 1]
 
 
 def test_cohomology_rejects_incomplete_fan():
@@ -386,7 +396,7 @@ def test_per_fan_caches_stay_bounded():
               for name in ("fan", "polyhedra", "divisor", "cohomology")}
     polyhedra = module["polyhedra"]
     caches = (module["fan"].validate_fan, polyhedra._cone_hrep_cached, module["divisor"]._picard,
-              module["divisor"]._recession_cone_is_zero, module["cohomology"]._cover_subsets)
+              module["divisor"]._recession_cone_is_zero, module["cohomology"]._cones_by_size)
     # Shears of P2: more distinct fans than any cache may hold.
     for s in range(polyhedra.CACHE_SIZE + 4):
         sheared = Fan(2, [(1, 0), (s, 1), (-1 - s, -1)], [(0, 1), (1, 2), (2, 0)])
@@ -395,3 +405,92 @@ def test_per_fan_caches_stay_bounded():
     for cache in caches:
         assert cache.cache_info().maxsize == polyhedra.CACHE_SIZE
         assert cache.cache_info().currsize <= polyhedra.CACHE_SIZE
+
+
+def cross_check_cases():
+    """Every named fan with seeded Cartier divisors, and seeded smooth
+    surfaces with 5-8 rays, small enough for the 2^r-cell Čech oracle."""
+    rng = random.Random(71)
+    cases = []
+    for name in NAMED_FAN_NAMES:
+        fan = named_fan(name)
+        drawn = 0
+        while drawn < 3:
+            d = TDivisor(tuple(rng.randint(-3, 3) for _ in fan.rays))
+            if is_cartier(fan, d):
+                cases.append((fan, d))
+                drawn += 1
+    for k in (5, 6, 7, 8):
+        fan = blown_up_plane(k, rng)
+        for _ in range(2):
+            cases.append((fan, TDivisor(tuple(rng.randint(-2, 2) for _ in range(k)))))
+    return cases
+
+
+def test_negative_cone_engine_matches_cech_oracle():
+    cases = cross_check_cases()
+    assert any(fan.rays == named_fan("P112").rays for fan, _ in cases)
+    for fan, d in cases:
+        table = cohomology(fan, d, want_graded=True)
+        dims, graded = cech_cohomology(fan, d)
+        assert (table.dims, table.graded) == (dims, graded), (fan.rays, d)
+        # With a prime, the engine raises unless its GF(q) ranks give its
+        # Q dims; the oracle ranks its own complex over GF(q).
+        for q in (2, 3):
+            table_mod = cohomology(fan, d, want_graded=True, check_prime=q)
+            assert (table_mod.dims, table_mod.graded) == cech_cohomology(fan, d, q)
+
+
+def test_graded_piece_matches_cech_oracle_per_degree():
+    for fan, d in cross_check_cases()[::2]:
+        region = support_region(fan, d)
+        cache = {}
+        for m in product(*(range(lo - 1, hi + 2) for lo, hi in region.box)):
+            pattern = sign_pattern(fan, d.coeffs, m)
+            if pattern not in cache:
+                cache[pattern] = list(cech_pattern_dims(fan, pattern))
+            assert graded_piece_cohomology(fan, d, m) == cache[pattern], (fan.rays, d, m)
+
+
+def test_negative_cone_complex_stays_within_the_fan(monkeypatch):
+    # The complex of one degree has at most one cell per cone plus the
+    # empty face; the Čech nerve of the same surface has 2^16 - 1.
+    module = importlib.import_module("toricpic.cohomology")
+    shapes = []
+    real_rank = module.rational_rank
+
+    def recording_rank(rows):
+        shapes.append((len(rows), len(rows[0])))
+        return real_rank(rows)
+
+    monkeypatch.setattr(module, "rational_rank", recording_rank)
+    fan = blown_up_plane(16, random.Random(79))
+    cells = len(fan.rays) + len(fan.max_cones) + 1
+    d = TDivisor((2, 1) + (0,) * 14)
+    largest = 0
+    for m in support_region(fan, d).points():
+        shapes.clear()
+        graded_piece_cohomology(fan, d, m)
+        rows = sum(r for r, _ in shapes)
+        assert rows <= cells, (m, shapes)
+        largest = max(largest, rows)
+    assert largest > 0
+
+
+def test_serre_duality():
+    # h^i(D) = h^(n-i)(K - D) with K = -(sum of all ray divisors) on smooth
+    # complete fans (Cox-Little-Schenck Thm 9.2.10): uses neither engine's
+    # internals, and reaches surfaces with 10-12 rays.
+    rng = random.Random(73)
+    fans = [(P2, 4), (P1xP1, 4), (F1, 4), (named_fan("P3"), 3)]
+    fans += [(blown_up_plane(k, rng), 3) for k in (10, 11, 12)]
+    for fan, trials in fans:
+        n = fan.rank
+        # The anticanonical divisor has sections, so its dual has top cohomology.
+        divisors = [TDivisor((1,) * len(fan.rays))]
+        divisors += [TDivisor(tuple(rng.randint(-3, 3) for _ in fan.rays)) for _ in range(trials)]
+        for d in divisors:
+            dual = TDivisor(tuple(-1 - a for a in d.coeffs))
+            h = cohomology(fan, d).dims
+            h_dual = cohomology(fan, dual).dims
+            assert all(h[i] == h_dual[n - i] for i in range(n + 1)), (fan.rays, d, h, h_dual)

@@ -11,7 +11,12 @@ kernel of `lattice` (over GF(p) as well, when a mod-p cross-check is
 asked for).  Degrees are enumerated over a finite support region (convex
 hull of the Cartier witnesses and the polytope vertices, dilated by one in
 every coordinate); degrees sharing a sign pattern share a complex, so each
-pattern is ranked once.
+pattern is ranked once.  The region's rational inequalities are cleared
+once to integer rows with ceiling thresholds, which select the same
+integer degrees, and its box is scanned by the integer scanner of
+`lattice`, the one `divisor.lattice_points` uses too.  A box of more than
+`lattice.SCAN_LIMIT` points is refused with InputError when the region is
+built.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 from .divisor import (
     as_divisor,
@@ -31,7 +36,15 @@ from .divisor import (
 )
 from .errors import ConsistencyError, HypothesisError, InputError
 from .fan import Fan, validate_fan
-from .lattice import IntVector, dot, is_prime, rank_mod_p, rational_rank
+from .lattice import (
+    IntVector,
+    _scan_box,
+    dot,
+    is_prime,
+    rank_mod_p,
+    rational_rank,
+    require_scannable,
+)
 from .polyhedra import CACHE_SIZE, hull_facets
 
 
@@ -128,20 +141,22 @@ def graded_piece_cohomology(fan: Fan, divisor, m, check_prime=None) -> list[int]
 class SupportRegion:
     """Finite region of M guaranteed to contain every degree with nonzero
     graded cohomology: hull of Cartier witnesses and polytope vertices,
-    dilated by 1 in every coordinate (Minkowski sum with the unit cube)."""
+    dilated by 1 in every coordinate (Minkowski sum with the unit cube).
 
-    inequalities: tuple[tuple[IntVector, Fraction], ...]
+    `inequalities` are integer rows (normal, threshold) meaning
+    normal·m >= threshold; each threshold is the ceiling of the rational
+    right-hand side, which selects the same integer points m.
+    """
+
+    inequalities: tuple[tuple[IntVector, int], ...]
     box: tuple[tuple[int, int], ...]
 
     def contains(self, m) -> bool:
-        return all(
-            sum(Fraction(c) * x for c, x in zip(normal, m)) >= rhs
-            for normal, rhs in self.inequalities
-        )
+        """Whether the integer point m lies in the region."""
+        return all(dot(normal, m) >= t for normal, t in self.inequalities)
 
     def points(self) -> list[IntVector]:
-        box = product(*(range(lo, hi + 1) for lo, hi in self.box))
-        return [m for m in box if self.contains(m)]
+        return _scan_box(self.box, self.inequalities)
 
 
 def support_region(fan: Fan, divisor) -> SupportRegion:
@@ -156,16 +171,17 @@ def support_region(fan: Fan, divisor) -> SupportRegion:
     facets, eqs = hull_facets(points, n)
     ineqs = []
     for normal, rhs in facets:
-        ineqs.append((normal, rhs - sum(abs(c) for c in normal)))
+        ineqs.append((normal, math.ceil(rhs - sum(abs(c) for c in normal))))
     for normal, value in eqs:
         slack = sum(abs(c) for c in normal)
-        ineqs.append((normal, value - slack))
-        ineqs.append((tuple(-c for c in normal), -value - slack))
+        ineqs.append((normal, math.ceil(value - slack)))
+        ineqs.append((tuple(-c for c in normal), math.ceil(-value - slack)))
     box = []
     for i in range(n):
         lo = min(p[i] for p in points)
         hi = max(p[i] for p in points)
         box.append((math.ceil(lo) - 1, math.floor(hi) + 1))
+    require_scannable(box)
     return SupportRegion(tuple(ineqs), tuple(box))
 
 

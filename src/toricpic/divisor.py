@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import HypothesisError, InputError
 from .fan import Fan, validate_fan
@@ -21,6 +21,7 @@ from .lattice import (
     GroupElement,
     IntMatrix,
     IntVector,
+    _scan_box,
     cokernel,
     dot,
     integer_kernel,
@@ -376,10 +377,7 @@ class DivisorPolytope:
     dim: int
 
     def contains(self, m) -> bool:
-        return all(
-            sum(Fraction(c) * x for c, x in zip(normal, m)) >= rhs
-            for normal, rhs in self.inequalities
-        )
+        return all(dot(normal, m) >= rhs for normal, rhs in self.inequalities)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -416,7 +414,7 @@ def divisor_polytope(fan: Fan, divisor) -> DivisorPolytope:
         point = rational_solve(rows, rhs)
         if point is None:
             continue
-        if all(sum(Fraction(c) * x for c, x in zip(normal, point)) >= r for normal, r in ineqs):
+        if all(dot(normal, point) >= r for normal, r in ineqs):
             vertices.add(tuple(point))
     verts = tuple(sorted(vertices))
     if not verts:
@@ -433,36 +431,22 @@ def lattice_points(polytope: DivisorPolytope, interior_only: bool = False) -> li
     Box scan over the integer bounding box of the vertices.  For the
     relative interior, rows tight on every vertex (implicit equalities
     cutting out the affine hull) keep their equality; all other rows become
-    strict.
+    strict, normal·m > rhs, which for integer m and rhs is normal·m >= rhs + 1.
     """
-    if not polytope.vertices:
+    verts = polytope.vertices
+    if not verts:
         return []
-    n = len(polytope.vertices[0])
-    lo = [min(v[i] for v in polytope.vertices) for i in range(n)]
-    hi = [max(v[i] for v in polytope.vertices) for i in range(n)]
-    lo = [math.ceil(x) for x in lo]
-    hi = [math.floor(x) for x in hi]
-    implicit = []
+    box = [
+        (math.ceil(min(v[i] for v in verts)), math.floor(max(v[i] for v in verts)))
+        for i in range(len(verts[0]))
+    ]
+    rows = polytope.inequalities
     if interior_only:
-        implicit = [
-            all(
-                sum(Fraction(c) * x for c, x in zip(normal, v)) == rhs
-                for v in polytope.vertices
-            )
-            for normal, rhs in polytope.inequalities
+        rows = [
+            (normal, rhs if all(dot(normal, v) == rhs for v in verts) else rhs + 1)
+            for normal, rhs in rows
         ]
-
-    def inside(m) -> bool:
-        for row, (normal, rhs) in enumerate(polytope.inequalities):
-            val = dot(normal, m)
-            if interior_only and not implicit[row]:
-                if val <= rhs:
-                    return False
-            elif val < rhs:
-                return False
-        return True
-
-    return [m for m in product(*(range(a, b + 1) for a, b in zip(lo, hi))) if inside(m)]
+    return _scan_box(box, rows)
 
 
 def is_basepoint_free(fan: Fan, divisor) -> bool:

@@ -8,19 +8,28 @@ with unimodular transforms, integer kernels and cokernels, and integer
 linear system solving with a deterministic (Hermite-based) particular
 solution.  All row elimination over a field goes through one
 fraction-free Gauss-Jordan routine, `rref`, over Q or GF(p): ranks,
-rational kernels and solutions, and determinants read its output.
+rational kernels and solutions, and determinants read its output.  All
+lattice-point enumeration goes through one integer box scanner,
+`_scan_box`, which refuses a box of more than `SCAN_LIMIT` points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import product
+from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import InputError
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
+
+# Most integer points a box scan may visit.  A larger box is refused up
+# front: scanning it would run for minutes or exhaust memory, where the
+# largest box of the test suite and the benchmark has a few thousand points.
+SCAN_LIMIT = 10**6
 
 
 def _as_matrix(rows) -> list[list[int]]:
@@ -104,6 +113,37 @@ def primitive(v) -> IntVector:
     if g == 0:
         raise InputError("zero vector has no primitive representative")
     return tuple(x // g for x in v)
+
+
+# ---------------------------------------------------------------------------
+# Lattice points of a box cut by integer inequalities
+# ---------------------------------------------------------------------------
+
+def require_scannable(box) -> int:
+    """Number of integer points in the box of (lo, hi) sides; InputError
+    when it exceeds SCAN_LIMIT."""
+    count = prod(max(hi - lo + 1, 0) for lo, hi in box)
+    if count > SCAN_LIMIT:
+        raise InputError(
+            f"scan box has {count} lattice points, above the limit of {SCAN_LIMIT}"
+        )
+    return count
+
+
+def _scan_box(box, rows) -> list[IntVector]:
+    """Integer points m of the box with normal·m >= threshold for every
+    integer (normal, threshold) row, in `itertools.product` order (the last
+    coordinate varies fastest).
+
+    A rational inequality normal·m >= rhs with an integer normal holds at
+    an integer point exactly when normal·m >= ceil(rhs), and a strict one
+    normal·m > rhs exactly when normal·m >= floor(rhs) + 1, so callers
+    clear their denominators once and every point costs integer sums only.
+    """
+    if not require_scannable(box):
+        return []  # product() would still build every nonempty side's range
+    points = product(*(range(lo, hi + 1) for lo, hi in box))
+    return [m for m in points if all(sum(map(mul, normal, m)) >= t for normal, t in rows)]
 
 
 # ---------------------------------------------------------------------------

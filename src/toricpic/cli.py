@@ -367,7 +367,7 @@ def _run(job: JobSpec, report: Report) -> None:
         _require(job, degree=job.degree, nmax=job.nmax)
         bundle = _bundle(fan, job)
         series = perf.cohomology_series(
-            fan, bundle, job.degree, job.nmax, assume_trivialization=job.assume_trivialization
+            bundle, job.degree, job.nmax, assume_trivialization=job.assume_trivialization
         )
         report.results.append(("normalized_level", bundle.level))
         report.results.append(("dims", _fmt_vec(series.dims)))
@@ -377,25 +377,15 @@ def _run(job: JobSpec, report: Report) -> None:
                 report.results.append((f"basis_level_{n}", _fmt_vecs(basis)))
         return
 
-    if job.command == "perf-demazure":
+    if job.command in ("perf-demazure", "perf-bb"):
         _require(job, nmax=job.nmax)
-        bundle = _bundle(fan, job)
-        _verdict_exit(
-            report,
-            perf.perfectoid_demazure(
-                fan, bundle, job.nmax, assume_trivialization=job.assume_trivialization
-            ),
+        check = (
+            perf.perfectoid_demazure if job.command == "perf-demazure"
+            else perf.perfectoid_batyrev_borisov
         )
-        return
-
-    if job.command == "perf-bb":
-        _require(job, nmax=job.nmax)
         bundle = _bundle(fan, job)
         _verdict_exit(
-            report,
-            perf.perfectoid_batyrev_borisov(
-                fan, bundle, job.nmax, assume_trivialization=job.assume_trivialization
-            ),
+            report, check(bundle, job.nmax, assume_trivialization=job.assume_trivialization)
         )
         return
 

@@ -3,8 +3,24 @@
 A line bundle on the perfectoid cover is modelled as a formal p^k-th root
 of a line bundle on X: a class in Pic(X) together with a level k, kept in
 a normal form where either k = 0 or the class is not divisible by p.  Its
-cohomology is the completed colimit of the level-wise groups, represented
-finitely as a series of exact dimensions plus the basis-embedding data.
+cohomology is the completed colimit of the levels p^n·D along m -> p·m,
+represented finitely as the exact dimensions and graded bases of levels
+0..n_max.
+
+The colimit rests on one scaling lemma: for t >= 1, <t·m, u> >= -t·a
+holds exactly when <m, u> >= -a.  So (t·m, t·D) has the sign pattern of
+(m, D), hence the same complex of negative cones (Cox–Little–Schenck,
+Thm 9.1.3) and the same graded piece.  Three consequences are therefore
+not re-checked here (tests/tower_oracle.py checks them): each level's
+basis embeds in the next under m -> p·m with its multiplicities, the
+interior points of p^n·P_D map into those of p^(n+1)·P_D, and t·D is
+basepoint free exactly when D is.
+
+Levels are computed from the top one down.  Level n's scan box has the
+sides ceil(t·lo)-1..floor(t·hi)+1 with t = p^n, and p·t·[lo, hi] holds p
+times every integer of t·[lo, hi], so the box never shrinks from one
+level to the next: a tower too large to scan is refused at its top level,
+before any level is computed.
 """
 
 from __future__ import annotations
@@ -24,13 +40,21 @@ from .divisor import (
     lattice_points,
     picard_group,
 )
-from .errors import ConsistencyError, HypothesisError, InputError
+from .errors import HypothesisError, InputError
 from .fan import Fan, validate_fan
 from .lattice import GroupElement, is_prime
 
 VANISHES = "vanishes"
 STABILIZES = "stabilizes-to-basis"
-GROWING = "growing"
+
+
+def _require_ints(**values) -> None:
+    """InputError unless every value is exactly an int: a float, a string
+    or a bool would otherwise be truncated or coerced into a different
+    tower."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise InputError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_perfectoid_fan(fan: Fan, assume_trivialization: bool) -> None:
@@ -114,8 +138,7 @@ def _normalized(fan: Fan, p: int, cls: GroupElement, level: int, rep: TDivisor) 
 
 def from_divisor(fan: Fan, divisor, p: int, level: int, assume_trivialization: bool = False) -> PerfectoidBundle:
     """The bundle (class of D)^(1/p^level), normalized."""
-    p = int(p)
-    level = int(level)
+    _require_ints(p=p, level=level)
     if not is_prime(p):
         raise InputError(f"p must be prime, got {p}")
     if level < 0:
@@ -209,7 +232,7 @@ def strip_p_part(d: int, p: int) -> int:
 
 def perfectoid_pic(fan: Fan, p: int, assume_trivialization: bool = False) -> PerfectoidPicard:
     """Pic(cover) = Pic(X) ⊗ Z[1/p], computed from the invariant factors."""
-    p = int(p)
+    _require_ints(p=p)
     if not is_prime(p):
         raise InputError(f"p must be prime, got {p}")
     _require_perfectoid_fan(fan, assume_trivialization)
@@ -223,9 +246,11 @@ class LevelSeries:
     """dim H^i(X, M^{p^n}) for n = 0..n_max, with the colimit verdict.
 
     `bases[n]` lists the degrees (with multiplicity) carrying the level-n
-    cohomology; StabilizesToBasis means each level's basis embeds in the
-    next under m -> p·m, which exhibits the completed colimit as the
-    p-divisible hull of the level bases.
+    cohomology.  By the scaling lemma, (p·m, p^(n+1)·D) has the graded
+    piece of (m, p^n·D), so each level's basis embeds in the next under
+    m -> p·m, multiplicities included, and the completed colimit is the
+    p-divisible hull of the level bases: the verdict is VANISHES when
+    every level is zero and STABILIZES otherwise.
     """
 
     degree: int
@@ -234,138 +259,102 @@ class LevelSeries:
     bases: tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def _level_tables(fan: Fan, l: PerfectoidBundle, n_max: int) -> list:
-    """The graded cohomology table of p^n·D for n = 0..n_max, one per level."""
-    if fan != l.fan:
-        raise InputError("bundle does not live on this fan")
+def _require_tower(l: PerfectoidBundle, n_max: int, assume_trivialization: bool) -> None:
+    _require_perfectoid_fan(l.fan, assume_trivialization)
+    _require_ints(n_max=n_max)
     if n_max < 0:
         raise InputError("n_max must be non-negative")
+
+
+def _top_down(n_max: int, level):
+    """[level(0), ..., level(n_max)], computed from n_max down so that an
+    oversized tower is refused at its top level first."""
+    return [level(n) for n in range(n_max, -1, -1)][::-1]
+
+
+def _level_tables(l: PerfectoidBundle, n_max: int) -> list:
+    """The graded cohomology table of p^n·D for n = 0..n_max, one per level."""
     d = l.representative
-    if cartier_witnesses(fan, d) is None:
-        raise HypothesisError("bundle representative is not Cartier")
-    return [cohomology(fan, (l.p ** n) * d, want_graded=True) for n in range(n_max + 1)]
+    return _top_down(n_max, lambda n: cohomology(l.fan, (l.p ** n) * d, want_graded=True))
 
 
-def _series(p: int, tables, degree: int) -> LevelSeries:
+def _series(tables, degree: int) -> LevelSeries:
     """Read the level series of one cohomological degree off the level tables."""
     dims = tuple(table.dims[degree] for table in tables)
-    bases = [table.graded[degree] for table in tables]
-    if not any(dims):
-        verdict = VANISHES
-    else:
-        verdict = STABILIZES
-        for n in range(len(bases) - 1):
-            nxt = dict(bases[n + 1])
-            for m, mult in bases[n]:
-                scaled = tuple(p * x for x in m)
-                if nxt.get(scaled, 0) < mult:
-                    verdict = GROWING
-                    break
-            if verdict == GROWING:
-                break
-    basis_degrees = tuple(
-        tuple(m for m, mult in level for _ in range(mult)) for level in bases
+    bases = tuple(
+        tuple(m for m, mult in table.graded[degree] for _ in range(mult)) for table in tables
     )
-    return LevelSeries(degree, dims, verdict, basis_degrees)
+    return LevelSeries(degree, dims, STABILIZES if any(dims) else VANISHES, bases)
 
 
-def cohomology_series(fan: Fan, l: PerfectoidBundle, degree: int, n_max: int,
+def cohomology_series(l: PerfectoidBundle, degree: int, n_max: int,
                       assume_trivialization: bool = False) -> LevelSeries:
     """Level-wise cohomology of the bundle: dims[n] = dim H^degree(X, p^n·D)."""
-    _require_perfectoid_fan(fan, assume_trivialization)
-    degree = int(degree)
-    if not (0 <= degree <= fan.rank):
-        raise InputError(f"cohomological degree must lie in 0..{fan.rank}")
-    return _series(l.p, _level_tables(fan, l, int(n_max)), degree)
+    _require_tower(l, n_max, assume_trivialization)
+    _require_ints(degree=degree)
+    if not (0 <= degree <= l.fan.rank):
+        raise InputError(f"cohomological degree must lie in 0..{l.fan.rank}")
+    return _series(_level_tables(l, n_max), degree)
 
 
-def polytope_dimension(fan: Fan, l: PerfectoidBundle) -> int:
+def polytope_dimension(l: PerfectoidBundle) -> int:
     """dim P_D for any divisor representative of the bundle; -1 when empty.
 
     Well-defined: replacing the representative by D + div(m) translates the
     polytope, replacing it by p^t·D scales it."""
-    if fan != l.fan:
-        raise InputError("bundle does not live on this fan")
-    return divisor_polytope(fan, l.representative).dim
+    return divisor_polytope(l.fan, l.representative).dim
 
 
-def _globally_generated(fan: Fan, l: PerfectoidBundle, n_max: int) -> bool:
-    """Basepoint-freeness of the level representatives.
-
-    Scaling invariance makes the t = 0 test decisive, but all levels up to
-    n_max are checked anyway as a cheap cross-check."""
-    verdicts = [is_basepoint_free(fan, (l.p ** t) * l.representative) for t in range(n_max + 1)]
-    if any(v != verdicts[0] for v in verdicts):
-        raise ConsistencyError("basepoint-freeness failed to be scaling-invariant")
-    return verdicts[0]
-
-
-def perfectoid_demazure(fan: Fan, l: PerfectoidBundle, n_max: int,
+def perfectoid_demazure(l: PerfectoidBundle, n_max: int,
                         assume_trivialization: bool = False) -> CheckVerdict:
     """Globally generated bundles on the cover have no higher cohomology:
-    every level series in degrees 1..rank must vanish."""
-    _require_perfectoid_fan(fan, assume_trivialization)
-    if not _globally_generated(fan, l, n_max):
+    every level series in degrees 1..rank must vanish.  Basepoint-freeness
+    is tested on D alone, since t·D is basepoint free exactly when D is."""
+    _require_tower(l, n_max, assume_trivialization)
+    if not is_basepoint_free(l.fan, l.representative):
         return CheckVerdict("not-applicable", {"reason": "no basepoint-free representative"})
-    tables = _level_tables(fan, l, n_max)
+    tables = _level_tables(l, n_max)
     series = {}
-    for i in range(1, fan.rank + 1):
-        s = _series(l.p, tables, i)
+    for i in range(1, l.fan.rank + 1):
+        s = _series(tables, i)
         series[i] = s.dims
         if s.verdict != VANISHES:
             return CheckVerdict("fail", {"offending_degree": i, "dims": s.dims})
     return CheckVerdict("pass", {"series": series})
 
 
-def perfectoid_batyrev_borisov(fan: Fan, l: PerfectoidBundle, n_max: int,
+def perfectoid_batyrev_borisov(l: PerfectoidBundle, n_max: int,
                                assume_trivialization: bool = False) -> CheckVerdict:
     """Perfectoid Batyrev-Borisov: for the inverse bundle, all levels vanish
     outside degree d = dim P_D; in degree d the level-n basis is indexed by
-    the interior lattice points of p^n·P_D, and consecutive bases embed
-    under m -> p·m.  Returns the truncated p-divisible basis description."""
-    _require_perfectoid_fan(fan, assume_trivialization)
-    if not _globally_generated(fan, l, n_max):
+    the interior lattice points of p^n·P_D.  Both sides are computed
+    independently and compared level by level.  Returns the truncated
+    p-divisible basis description."""
+    _require_tower(l, n_max, assume_trivialization)
+    fan, rep = l.fan, l.representative
+    if not is_basepoint_free(fan, rep):
         return CheckVerdict("not-applicable", {"reason": "no basepoint-free representative"})
-    d_dim = polytope_dimension(fan, l)
-    rep = l.representative
-    interiors = []
-    for n in range(n_max + 1):
-        poly = divisor_polytope(fan, (l.p ** n) * rep)
-        interiors.append(sorted(lattice_points(poly, interior_only=True)))
+    d_dim = polytope_dimension(l)
+    interiors = _top_down(
+        n_max,
+        lambda n: sorted(lattice_points(divisor_polytope(fan, (l.p ** n) * rep), interior_only=True)),
+    )
     details = {
         "polytope_dim": d_dim,
         "level_basis_sizes": tuple(len(pts) for pts in interiors),
         "level_bases": tuple(tuple(pts) for pts in interiors),
     }
-    # Transition embedding on the predicted bases.
-    for n in range(n_max):
-        nxt = set(interiors[n + 1])
-        for m in interiors[n]:
-            if tuple(l.p * x for x in m) not in nxt:
-                details["reason"] = f"basis embedding fails at level {n} for degree {m}"
-                return CheckVerdict("fail", details)
     # Independent route: the computed cohomology of the inverse bundle, level by level.
-    tables = _level_tables(fan, inverse(l), n_max)
+    tables = _level_tables(inverse(l), n_max)
     for i in range(fan.rank + 1):
-        s = _series(l.p, tables, i)
-        if i != d_dim:
-            if any(s.dims):
-                details["offending_degree"] = i
-                details["dims"] = s.dims
-                return CheckVerdict("fail", details)
-            continue
-        expected = tuple(len(pts) for pts in interiors)
+        s = _series(tables, i)
+        expected = details["level_basis_sizes"] if i == d_dim else (0,) * (n_max + 1)
         if s.dims != expected:
             details["offending_degree"] = i
             details["dims"] = s.dims
             return CheckVerdict("fail", details)
-        if s.verdict not in (VANISHES, STABILIZES):
-            details["offending_degree"] = i
-            details["reason"] = "computed bases do not embed under m -> p·m"
-            return CheckVerdict("fail", details)
-        for n in range(n_max + 1):
-            predicted = sorted(tuple(-x for x in m) for m in interiors[n])
-            if sorted(s.bases[n]) != predicted:
+        for n, pts in enumerate(interiors if i == d_dim else ()):
+            if sorted(s.bases[n]) != sorted(tuple(-x for x in m) for m in pts):
                 details["offending_degree"] = i
                 details["reason"] = f"level {n} basis degrees disagree with -Relint(p^n P_D)"
                 return CheckVerdict("fail", details)

@@ -155,7 +155,7 @@ def test_criterion_6_perfectoid_cohomology_series():
     with criterion(6, "level series of (3H)^{-1} matches enumerated interior counts"):
         p2 = named_fan("P2")
         bundle = inverse(from_divisor(p2, hyperplane(3), 2, 0))
-        series = cohomology_series(p2, bundle, 2, 2)
+        series = cohomology_series(bundle, 2, 2)
         expected = tuple(len(simplex_points(3 * 2 ** n, True)) for n in range(3))
         assert series.dims == expected
         assert series.verdict == STABILIZES
@@ -170,11 +170,11 @@ def test_criterion_7_perfectoid_demazure():
         p2 = named_fan("P2")
         half_h = from_divisor(p2, hyperplane(1), 2, 1)
         for i in (1, 2):
-            assert cohomology_series(p2, half_h, i, 4).verdict == VANISHES
+            assert cohomology_series(half_h, i, 4).verdict == VANISHES
         p1xp1 = named_fan("P1xP1")
         half_h1h2 = from_divisor(p1xp1, (0, 0, 1, 1), 2, 1)
         for i in (1, 2):
-            assert cohomology_series(p1xp1, half_h1h2, i, 4).verdict == VANISHES
+            assert cohomology_series(half_h1h2, i, 4).verdict == VANISHES
 
 
 def test_criterion_8_property_suites():
@@ -253,4 +253,4 @@ def test_criterion_8_property_suites():
             l1 = from_divisor(p2, d, 2, 0)
             l2 = from_divisor(p2, d + principal_divisor(p2, m), 2, 0)
             l3 = from_divisor(p2, 4 * d, 2, 2)
-            assert polytope_dimension(p2, l1) == polytope_dimension(p2, l2) == polytope_dimension(p2, l3)
+            assert polytope_dimension(l1) == polytope_dimension(l2) == polytope_dimension(l3)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -300,3 +301,23 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "Z[1/2]" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["perf-cohomology", "--degree", "0"], 16387**2),  # support region of 2^14·H
+        (["perf-demazure"], 16387**2),
+        (["perf-bb"], 16385**2),  # lattice points of 2^14·P_H
+    ],
+)
+def test_cli_refuses_oversized_tower_up_front(argv, count, capsys):
+    # The top level's box is the largest, so it is refused before level 0.
+    tower = ["--fan", "named:P2", "--divisor", "0,0,1", "--p", "2", "--nmax", "14"]
+    start = time.process_time()
+    code, out, err = run_main(argv + tower, capsys)
+    elapsed = time.process_time() - start
+    assert code == 2
+    assert "status: input-error" in out
+    assert f"scan box has {count} lattice points, above the limit" in err
+    assert elapsed < 0.5

@@ -2,12 +2,19 @@
 
 import importlib
 import random
+from collections import Counter
+from fractions import Fraction
+from itertools import product
 
 import pytest
+from test_cohomology import blown_up_plane
+from tower_oracle import basepoint_free_levels, embedding_failures
 
-from toricpic.divisor import TDivisor
+from toricpic.cli import main
+from toricpic.cohomology import graded_piece_cohomology, support_region
+from toricpic.divisor import TDivisor, is_cartier
 from toricpic.errors import HypothesisError, InputError
-from toricpic.library import named_fan
+from toricpic.library import NAMED_FAN_NAMES, named_fan
 from toricpic.perfectoid import (
     STABILIZES,
     VANISHES,
@@ -192,7 +199,7 @@ def test_perfectoid_pic_kills_p_torsion():
 
 def test_cohomology_series_vanishing():
     l = from_divisor(P2, hyperplane(2), 2, 0)
-    s = cohomology_series(P2, l, 1, 4)
+    s = cohomology_series(l, 1, 4)
     assert s.dims == (0, 0, 0, 0, 0)
     assert s.verdict == VANISHES
 
@@ -208,7 +215,7 @@ def test_cohomology_series_interior_counts():
         )
 
     l = inverse(from_divisor(P2, hyperplane(3), 2, 0))
-    s = cohomology_series(P2, l, 2, 2)
+    s = cohomology_series(l, 2, 2)
     assert s.dims == tuple(interior_count(3 * 2 ** n) for n in range(3))
     assert s.dims == (1, 10, 55)
     assert s.verdict == STABILIZES
@@ -221,7 +228,7 @@ def test_cohomology_series_interior_counts():
 
 def test_cohomology_series_trivial_h0():
     l = trivial_bundle(P2, 2)
-    s = cohomology_series(P2, l, 0, 3)
+    s = cohomology_series(l, 0, 3)
     assert s.dims == (1, 1, 1, 1)
 
 
@@ -232,7 +239,7 @@ def test_cohomology_series_ignores_bundle_level():
     base = from_divisor(P2, hyperplane(1), 2, 0)
     root = from_divisor(P2, hyperplane(1), 2, 1)
     for i in (0, 1, 2):
-        assert cohomology_series(P2, base, i, 3).dims == cohomology_series(P2, root, i, 3).dims
+        assert cohomology_series(base, i, 3).dims == cohomology_series(root, i, 3).dims
 
 
 def test_cohomology_series_level0_matches_classical():
@@ -242,16 +249,16 @@ def test_cohomology_series_level0_matches_classical():
     for _ in range(10):
         d = random_divisor(rng, P2, -3, 3)
         l = from_divisor(P2, d, 2, 0)
-        s = cohomology_series(P2, l, 1, 0)
+        s = cohomology_series(l, 1, 0)
         assert s.dims[0] == cohomology(P2, l.representative).dims[1]
 
 
 def test_polytope_dimension():
     l = from_divisor(P2, hyperplane(3), 2, 1)
-    assert polytope_dimension(P2, l) == 2
-    assert polytope_dimension(P2, trivial_bundle(P2, 2)) == 0
+    assert polytope_dimension(l) == 2
+    assert polytope_dimension(trivial_bundle(P2, 2)) == 0
     empty = from_divisor(P2, hyperplane(-1), 2, 0)
-    assert polytope_dimension(P2, empty) == -1
+    assert polytope_dimension(empty) == -1
 
 
 def test_polytope_dimension_representative_independence():
@@ -264,45 +271,45 @@ def test_polytope_dimension_representative_independence():
         l1 = from_divisor(P2, d, 2, 0)
         l2 = from_divisor(P2, d + principal_divisor(P2, m), 2, 0)
         l3 = from_divisor(P2, 2 * d, 2, 1)
-        dims = {polytope_dimension(P2, x) for x in (l1, l2, l3)}
+        dims = {polytope_dimension(x) for x in (l1, l2, l3)}
         assert len(dims) == 1
 
 
 def test_perfectoid_demazure_half_hyperplane():
     l = from_divisor(P2, hyperplane(1), 2, 1)
-    verdict = perfectoid_demazure(P2, l, 4)
+    verdict = perfectoid_demazure(l, 4)
     assert verdict.passed
 
 
 def test_perfectoid_demazure_p1xp1():
     l = from_divisor(P1xP1, (1, 1, 0, 0), 2, 1)
-    verdict = perfectoid_demazure(P1xP1, l, 3)
+    verdict = perfectoid_demazure(l, 3)
     assert verdict.passed
 
 
 def test_perfectoid_demazure_not_applicable():
     l = from_divisor(P2, hyperplane(-1), 2, 0)
-    verdict = perfectoid_demazure(P2, l, 2)
+    verdict = perfectoid_demazure(l, 2)
     assert verdict.status == "not-applicable"
 
 
 def test_perfectoid_bb_3h():
     l = from_divisor(P2, hyperplane(3), 2, 0)
-    verdict = perfectoid_batyrev_borisov(P2, l, 2)
+    verdict = perfectoid_batyrev_borisov(l, 2)
     assert verdict.passed
     assert verdict.details["level_basis_sizes"] == (1, 10, 55)
 
 
 def test_perfectoid_bb_h_sizes():
     l = from_divisor(P2, hyperplane(1), 2, 0)
-    verdict = perfectoid_batyrev_borisov(P2, l, 2)
+    verdict = perfectoid_batyrev_borisov(l, 2)
     assert verdict.passed
     # Interior of 4*simplex enumerates to 3 points; earlier levels are empty.
     assert verdict.details["level_basis_sizes"] == (0, 0, 3)
 
 
 def test_perfectoid_bb_trivial():
-    verdict = perfectoid_batyrev_borisov(P2, trivial_bundle(P2, 2), 2)
+    verdict = perfectoid_batyrev_borisov(trivial_bundle(P2, 2), 2)
     assert verdict.passed
     assert verdict.details["polytope_dim"] == 0
     assert verdict.details["level_basis_sizes"] == (1, 1, 1)
@@ -321,8 +328,126 @@ def test_perfectoid_checks_compute_each_level_once(monkeypatch):
     monkeypatch.setattr(perfectoid, "cohomology", counting)
     p3 = named_fan("P3")
     l = from_divisor(p3, (0, 0, 0, 1), 2, 0)
-    assert perfectoid_batyrev_borisov(p3, l, 3).passed
+    assert perfectoid_batyrev_borisov(l, 3).passed
     assert len(calls) == 4
     calls.clear()
-    assert perfectoid_demazure(p3, l, 3).passed
+    assert perfectoid_demazure(l, 3).passed
     assert len(calls) == 4
+
+
+def test_tower_checks_test_basepoint_freeness_once(monkeypatch, capsys):
+    # t·D is basepoint free exactly when D is, so one test decides every level.
+    perfectoid = importlib.import_module("toricpic.perfectoid")
+    original = perfectoid.is_basepoint_free
+    calls = []
+
+    def counting(fan, divisor):
+        calls.append(divisor)
+        return original(fan, divisor)
+
+    monkeypatch.setattr(perfectoid, "is_basepoint_free", counting)
+    for command in ("perf-demazure", "perf-bb"):
+        calls.clear()
+        argv = [command, "--fan", "named:P2", "--divisor", "0,0,1", "--p", "2", "--nmax", "4"]
+        assert main(argv) == 0
+        assert len(calls) == 1, command
+    capsys.readouterr()
+
+
+def test_tower_arguments_must_be_integers():
+    rng = random.Random(137)
+    l = from_divisor(P2, hyperplane(1), 2, 1)
+    bad = [7.9, 1.9, 0.7, 2.9, 2.0, True, False, "3", Fraction(3)]
+    bad += [rng.uniform(-1, 8) for _ in range(5)]
+    calls = [
+        ("p", lambda v: perfectoid_pic(P2, v)),
+        ("p", lambda v: from_divisor(P2, hyperplane(1), v, 1)),
+        ("level", lambda v: from_divisor(P2, hyperplane(1), 3, v)),
+        ("degree", lambda v: cohomology_series(l, v, 2)),
+        ("n_max", lambda v: cohomology_series(l, 0, v)),
+        ("n_max", lambda v: perfectoid_demazure(l, v)),
+        ("n_max", lambda v: perfectoid_batyrev_borisov(l, v)),
+    ]
+    for name, call in calls:
+        for value in bad:
+            with pytest.raises(InputError, match=f"{name} must be an integer"):
+                call(value)
+    # A negative tower length is refused before any level, basepoint-free or not.
+    for bundle in (l, from_divisor(P2, hyperplane(-1), 2, 0)):
+        for check in (perfectoid_demazure, perfectoid_batyrev_borisov):
+            with pytest.raises(InputError, match="non-negative"):
+                check(bundle, -1)
+
+
+def scaling_cases():
+    """Seeded Cartier divisors on every named fan, on smooth 5-8-ray
+    surfaces and, a few more, on P3."""
+    rng = random.Random(139)
+    cases = []
+    for fan, count in [(named_fan(name), 2) for name in NAMED_FAN_NAMES] + [(named_fan("P3"), 3)]:
+        drawn = 0
+        while drawn < count:
+            d = random_divisor(rng, fan, -2, 2)
+            if is_cartier(fan, d):
+                cases.append((fan, d))
+                drawn += 1
+    for k in (5, 6, 7, 8):
+        fan = blown_up_plane(k, rng)
+        cases.extend((fan, random_divisor(rng, fan, -2, 2)) for _ in range(2))
+    return cases
+
+
+def test_scaling_lemma_on_graded_pieces():
+    # <p·m, u> >= -p·a exactly when <m, u> >= -a: (p·m, p·D) has the graded
+    # piece of (m, D), on the whole support region and one step beyond it.
+    nonzero = 0
+    for fan, d in scaling_cases():
+        box = support_region(fan, d).box
+        for m in product(*(range(lo - 1, hi + 2) for lo, hi in box)):
+            piece = graded_piece_cohomology(fan, d, m)
+            nonzero += any(piece)
+            for p in (2, 3, 5):
+                scaled = graded_piece_cohomology(fan, p * d, tuple(p * x for x in m))
+                assert scaled == piece, (fan.rays, d, m, p)
+    assert nonzero
+
+
+def test_tower_oracle_on_seeded_series():
+    rng = random.Random(149)
+    fans = [P2, P1xP1, named_fan("F1"), named_fan("F2"), named_fan("P3")]
+    fans += [blown_up_plane(k, rng) for k in (6, 7, 8)]
+    largest = 0
+    for fan in fans:
+        for _ in range(3):
+            p = rng.choice((2, 3))
+            l = from_divisor(fan, random_divisor(rng, fan, -2, 2), p, rng.randint(0, 2))
+            n_max = 2 if p == 2 and fan.rank == 2 else 1
+            for i in range(fan.rank + 1):
+                s = cohomology_series(l, i, n_max)
+                assert embedding_failures(p, s.bases) == [], (fan.rays, l.representative, i)
+                largest = max([largest] + [max(Counter(b).values()) for b in s.bases if b])
+    # Some degree carries a graded piece of dimension above 1.
+    assert largest > 1
+
+
+def test_tower_oracle_on_seeded_checks():
+    rng = random.Random(151)
+    fans = [P2, P1xP1, named_fan("F1"), named_fan("F2"), named_fan("P3"), blown_up_plane(6, rng)]
+    outcomes = Counter()
+    for fan in fans:
+        for _ in range(4):
+            p = rng.choice((2, 3))
+            l = from_divisor(fan, random_divisor(rng, fan, -1, 2), p, 0)
+            n_max = 2 if p == 2 and fan.rank == 2 else 1
+            free = basepoint_free_levels(l, n_max)
+            assert free == [free[0]] * (n_max + 1)
+            demazure = perfectoid_demazure(l, n_max)
+            bb = perfectoid_batyrev_borisov(l, n_max)
+            expected = "pass" if free[0] else "not-applicable"
+            assert (demazure.status, bb.status) == (expected, expected)
+            if free[0]:
+                assert embedding_failures(p, bb.details["level_bases"]) == []
+                for i in range(fan.rank + 1):
+                    assert embedding_failures(p, cohomology_series(inverse(l), i, n_max).bases) == []
+            outcomes[expected] += 1
+    assert outcomes["pass"] and outcomes["not-applicable"]

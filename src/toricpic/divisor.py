@@ -26,12 +26,11 @@ from .lattice import (
     dot,
     integer_kernel,
     rational_rank,
-    rational_solve,
     solve_integer_system,
     vec_scale,
     vec_sub,
 )
-from .polyhedra import CACHE_SIZE
+from .polyhedra import CACHE_SIZE, cone_extreme_rays
 
 QVector = tuple[Fraction, ...]
 
@@ -385,18 +384,18 @@ def _recession_cone_is_zero(rays, n) -> bool:
     # {m : <m,u> >= 0 for all rays} = {0} iff the rays positively span N_R.
     if rational_rank(rays) < n:
         return False
-    from .polyhedra import cone_extreme_rays
-
     return not cone_extreme_rays(rays, (), n)
 
 
 def divisor_polytope(fan: Fan, divisor) -> DivisorPolytope:
     """Inequality representation plus vertex enumeration of P_D.
 
-    Vertices are found by intersecting rank-n subsets of the inequality
-    rows and filtering for feasibility; that is exhaustive for bounded
-    polytopes.  Unbounded P_D (rays fail to positively span, only possible
-    on non-complete fans) is a structured error.
+    Homogenization: P_D is the slice t = 1 of the cone
+    K = {(m, t) : <m, u_rho> + a_rho t >= 0, t >= 0}.  When P_D is bounded,
+    K meets t = 0 only at the origin, so K is pointed and each of its
+    extreme rays (m, t) has t > 0 and gives the vertex m/t.  Unbounded P_D
+    (rays fail to positively span, only possible on non-complete fans) is
+    a structured error.
     """
     d = as_divisor(fan, divisor)
     n = fan.rank
@@ -405,18 +404,10 @@ def divisor_polytope(fan: Fan, divisor) -> DivisorPolytope:
             "divisor polytope is unbounded: fan rays do not positively span N_R"
         )
     ineqs = tuple((u, -a) for u, a in zip(fan.rays, d.coeffs))
-    vertices = set()
-    for subset in combinations(range(len(ineqs)), n):
-        rows = [fan.rays[i] for i in subset]
-        if rational_rank(rows) != n:
-            continue
-        rhs = [ineqs[i][1] for i in subset]
-        point = rational_solve(rows, rhs)
-        if point is None:
-            continue
-        if all(dot(normal, point) >= r for normal, r in ineqs):
-            vertices.add(tuple(point))
-    verts = tuple(sorted(vertices))
+    rows = [(*u, a) for u, a in zip(fan.rays, d.coeffs)] + [(0,) * n + (1,)]
+    verts = tuple(sorted(
+        tuple(Fraction(x, ray[n]) for x in ray[:n]) for ray in cone_extreme_rays(rows, (), n + 1)
+    ))
     if not verts:
         return DivisorPolytope(ineqs, (), -1)
     v0 = verts[0]

@@ -151,19 +151,19 @@ def _scan_box(box, rows) -> list[IntVector]:
 # ---------------------------------------------------------------------------
 
 def _snf_with_inverses(rows):
-    """Returns (U, Uinv, S, V, Vinv) with U·A·V = S in Smith normal form.
+    """Returns (U, Uinv, S, V) with U·A·V = S in Smith normal form.
 
     Elementary row/column reduction, pivoting on the least-absolute-value
     nonzero entry.  Entries can grow without bound, hence exact big
-    integers throughout.  U, V are unimodular and the inverses are tracked
+    integers throughout.  U, V are unimodular; U's inverse is tracked
     alongside (inverting a unimodular matrix after the fact is avoidable
-    bookkeeping).
+    bookkeeping), since `cokernel` lifts group elements through it.
     """
     s = _as_matrix(rows)
     r = len(s)
     c = len(s[0]) if s else 0
     u, uinv = _identity(r), _identity(r)
-    v, vinv = _identity(c), _identity(c)
+    v = _identity(c)
 
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]
@@ -176,7 +176,6 @@ def _snf_with_inverses(rows):
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_row(src, dst, t):
         # row[dst] += t * row[src]
@@ -192,8 +191,6 @@ def _snf_with_inverses(rows):
             row[dst] += t * row[src]
         for row in v:
             row[dst] += t * row[src]
-        for j in range(c):
-            vinv[src][j] -= t * vinv[dst][j]
 
     def negate_row(i):
         s[i] = [-x for x in s[i]]
@@ -250,7 +247,7 @@ def _snf_with_inverses(rows):
         if fixed:
             k += 1
 
-    return _freeze(u), _freeze(uinv), _freeze(s), _freeze(v), _freeze(vinv)
+    return _freeze(u), _freeze(uinv), _freeze(s), _freeze(v)
 
 
 def smith_normal_form(rows) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -260,7 +257,7 @@ def smith_normal_form(rows) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     d_1 | d_2 | ...; U and V are unimodular.  Total on integer matrices
     (including empty ones).
     """
-    u, _, s, v, _ = _snf_with_inverses(rows)
+    u, _, s, v = _snf_with_inverses(rows)
     return u, s, v
 
 
@@ -472,7 +469,7 @@ def cokernel(rows, ambient_rank=None) -> AbelianGroupPresentation:
         ident = _freeze(_identity(r))
         return AbelianGroupPresentation(r, (), ident, r, ident)
 
-    u, uinv, s, _, _ = _snf_with_inverses(a)
+    u, uinv, s, _ = _snf_with_inverses(a)
     k = sum(1 for i in range(min(len(s), len(s[0]))) if s[i][i])
     factors = tuple(s[i][i] for i in range(k) if s[i][i] > 1)
     # y = U·x diagonalizes the relations: coordinates 0..k-1 are killed mod

@@ -25,7 +25,7 @@ before any level is computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .cohomology import CheckVerdict, cohomology
@@ -92,7 +92,7 @@ def _divide_class_by_p(cl: ClassGroup, elem: GroupElement, p: int) -> GroupEleme
     return pres.element(free, torsion)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PerfectoidBundle:
     """A formal p^level-th root of the line bundle with class `base_class`.
 
@@ -106,19 +106,7 @@ class PerfectoidBundle:
     p: int
     level: int
     base_class: GroupElement
-    representative: TDivisor
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PerfectoidBundle)
-            and self.fan == other.fan
-            and self.p == other.p
-            and self.level == other.level
-            and self.base_class == other.base_class
-        )
-
-    def __hash__(self):
-        return hash((self.fan, self.p, self.level, self.base_class))
+    representative: TDivisor = field(compare=False)
 
 
 def _normalized(fan: Fan, p: int, cls: GroupElement, level: int, rep: TDivisor) -> PerfectoidBundle:

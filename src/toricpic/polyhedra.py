@@ -1,15 +1,20 @@
 """Exact polyhedral geometry over the rationals.
 
 Cones are handled through both descriptions: generators (V-representation)
-and inequality/equation normals (H-representation).  Conversions between
-them enumerate small subsets and solve tiny exact linear systems; this is
-deliberate: fan ranks are capped at 6 and generator counts stay in the
-tens, where subset enumeration is cheap and easy to trust.  The predicates
-that validate a fan need no conversion: membership tries only bases of
-the generator span, and strong convexity and the common-face test of two
-cones are sign conditions (Gordan's alternative) decided on the circuits
-of a few vectors.  Everything is deterministic: outputs are sorted tuples
-of primitive integer vectors.
+and inequality/equation normals (H-representation).  One routine,
+`cone_hrep`, converts generators to facet normals by enumerating small
+subsets and solving tiny exact linear systems; this is deliberate: fan
+ranks are capped at 6 and generator counts stay in the tens, where subset
+enumeration is cheap and easy to trust.  The other conversions are facet
+lists of one cone (Ziegler, Lectures on Polytopes, 1.5 and 2.2): the
+facets of a hull are those of the cone over the points lifted to height 1
+(homogenization), and the extreme rays of a pointed cone are the facet
+normals of its dual, which the inequality and equation normals generate.
+The predicates that validate a fan need no conversion: membership tries
+only bases of the generator span, and strong convexity and the
+common-face test of two cones are sign conditions (Gordan's alternative)
+decided on the circuits of a few vectors.  Everything is deterministic:
+outputs are sorted tuples of primitive integer vectors.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .lattice import (
+    content,
     dot,
     rational_kernel,
     rational_rank,
@@ -146,22 +152,28 @@ def _cone_hrep_cached(gens: tuple[Vec, ...], n: int):
     if not gens:
         return (), eqs
     d = rational_rank(gens)
+    # Every facet holds the lineality space, so it holds each generator whose
+    # negation is a generator too: subsets are drawn from the others only.
+    present = set(gens)
+    lines = [g for g in gens if tuple(-x for x in g) in present]
+    rest = [g for g in gens if tuple(-x for x in g) not in present]
     ineqs = set()
-    for subset in combinations(gens, d - 1):
-        if rational_rank(subset) != d - 1:
-            continue
-        kern = _kernel(subset, n)
+    for subset in combinations(rest, max(d - 1 - rational_rank(lines), 0)):
+        kern = _kernel(lines + list(subset), n)
+        if len(kern) != n - d + 1:
+            continue  # the rows span less than a hyperplane of span(gens)
         # Candidates: kernel vectors not orthogonal to every generator.  All
         # such vectors agree on sign pattern up to a global flip, so the
         # first one decides.
         for cand in kern:
-            vals = [sum(Fraction(c) * g[i] for i, c in enumerate(cand)) for g in gens]
-            if all(v == 0 for v in vals):
+            a = scale_to_integer(cand)
+            vals = [dot(a, g) for g in gens]
+            if not any(vals):
                 continue
-            if all(v >= 0 for v in vals):
-                ineqs.add(scale_to_integer(cand))
-            elif all(v <= 0 for v in vals):
-                ineqs.add(scale_to_integer([-c for c in cand]))
+            if min(vals) >= 0:
+                ineqs.add(a)
+            elif max(vals) <= 0:
+                ineqs.add(tuple(-x for x in a))
             break
     return tuple(sorted(ineqs)), eqs
 
@@ -171,78 +183,51 @@ def cone_hrep(gens, n: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
 
     Returns (inequalities, equations): the cone is exactly
     {x : a.x >= 0 for all a in inequalities, e.x = 0 for all e in equations}.
-    Normals are primitive integer vectors, sorted.
+    Normals are primitive integer vectors, sorted.  The inequalities are
+    the facet normals: each vanishes on d - 1 linearly independent
+    generators (d = dim cone) and is nonnegative on all of them.
     """
-    return _cone_hrep_cached(tuple(sorted(tuple(g) for g in gens)), n)
+    return _cone_hrep_cached(tuple(sorted({tuple(g) for g in gens})), n)
 
 
 def cone_extreme_rays(ineqs, eqs, n: int) -> tuple[Vec, ...]:
-    """Extreme rays of the pointed cone {x : A x >= 0, E x = 0}.
+    """Extreme rays of the pointed cone C = {x : A x >= 0, E x = 0}, sorted.
 
-    An extreme ray is cut out by equations plus tight inequalities of rank
-    n-1; enumerating subsets of the right size finds them all.  The cone
-    must be pointed (rank of all normals = n), otherwise rays are not
-    well-defined and the result is meaningless.
+    Duality: C is the dual of C* = cone(rows of A, E and -E), and the
+    extreme rays of C are the facet normals of C*, read off `cone_hrep`.
+    C* is full-dimensional exactly when C is pointed (rank of all normals
+    = n); the cone must be pointed, otherwise rays are not well-defined and
+    the result is meaningless.
     """
-    ineqs = [tuple(a) for a in ineqs]
     eqs = [tuple(e) for e in eqs]
-    base = rational_rank(eqs)
-    need = n - 1 - base
-    if need < 0:
-        return ()
-    rays = set()
-    for subset in combinations(ineqs, need):
-        rows = eqs + list(subset)
-        kern = _kernel(rows, n)
-        if len(kern) != 1:
-            continue
-        v = scale_to_integer(kern[0])
-        if all(dot(a, v) >= 0 for a in ineqs):
-            rays.add(v)
-        w = tuple(-x for x in v)
-        if all(dot(a, w) >= 0 for a in ineqs):
-            rays.add(w)
-    return tuple(sorted(rays))
+    gens = [tuple(a) for a in ineqs] + eqs + [tuple(-x for x in e) for e in eqs]
+    return cone_hrep(gens, n)[0]
+
+
+def _affine_row(row) -> tuple[Vec, Fraction]:
+    """A lifted row (a0, a) read as (a / content(a), -a0 / content(a))."""
+    g = content(row[1:])
+    return tuple(x // g for x in row[1:]), Fraction(-row[0], g)
 
 
 def hull_facets(points, n: int):
     """Facet description of conv(points) for rational points in rank n.
 
-    Returns (facets, eqs) where facets is a list of (normal, rhs) with the
-    hull satisfying normal.x >= rhs, and eqs is a list of (normal, value)
-    affine-hull equations normal.x = value.  Brute force over d-subsets of
-    the points, d = affine dimension.
+    Returns (facets, eqs) where facets is a sorted list of (normal, rhs)
+    with the hull satisfying normal.x >= rhs, and eqs is a list of
+    (normal, value) affine-hull equations normal.x = value.  Normals are
+    primitive integer vectors.
+
+    Homogenization: conv(points) is the slice x0 = 1 of the cone over the
+    lifted points (1, p), and `cone_hrep` of that cone in rank n + 1 gives
+    both lists.  A row (a0, a) reads a.x >= -a0 (or = -a0) on the slice,
+    scaled by the content of a.  The row with a = 0 (x0 >= 0) is a facet
+    only when the hull is a single point, and is dropped.  The equations
+    come in the sorted order of their lifted rows.
     """
-    pts = sorted({tuple(Fraction(c) for c in p) for p in points})
-    if not pts:
+    lifted = {scale_to_integer((1, *p)) for p in points}
+    if not lifted:
         raise ValueError("hull of an empty point set")
-    p0 = pts[0]
-    dirs = [tuple(a - b for a, b in zip(p, p0)) for p in pts[1:]]
-    d = rational_rank(dirs)
-    eqs = []
-    for normal in _kernel(dirs, n):
-        nn = scale_to_integer(normal)
-        value = sum(Fraction(a) * b for a, b in zip(nn, p0))
-        eqs.append((nn, value))
-    facets = {}
-    if d == 0:
-        return [], eqs
-    for subset in combinations(pts, d):
-        s0 = subset[0]
-        rows = [[a - b for a, b in zip(p, s0)] for p in subset[1:]]
-        if rational_rank(rows) != d - 1:
-            continue
-        for cand in _kernel(rows, n):
-            vals = [sum(c * (a - b) for c, a, b in zip(cand, p, s0)) for p in pts]
-            if all(v == 0 for v in vals):
-                continue
-            if all(v >= 0 for v in vals):
-                nn = scale_to_integer(cand)
-            elif all(v <= 0 for v in vals):
-                nn = scale_to_integer([-c for c in cand])
-            else:
-                break
-            rhs = sum(Fraction(a) * b for a, b in zip(nn, s0))
-            facets[nn] = rhs
-            break
-    return sorted(facets.items()), eqs
+    ineqs, eqs = cone_hrep(lifted, n + 1)
+    facets = sorted(_affine_row(a) for a in ineqs if any(a[1:]))
+    return facets, [_affine_row(e) for e in eqs]

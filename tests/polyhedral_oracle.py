@@ -5,12 +5,103 @@ and extreme-ray enumeration, and membership through every linearly
 independent subset of the generators.  They share no logic with
 `polyhedra.meet_in_common_face`, `polyhedra.cone_contains` or
 `polyhedra.is_pointed`.
+
+The subset routes below each search subsets of their own rows for the
+answer, where the library reads all three off `polyhedra.cone_hrep` of one
+cone: extreme rays from tight rank-(n - 1) subsets of the inequalities,
+hull facets from affinely independent d-subsets of the points, and
+polytope vertices from rank-n subsets of the rows that satisfy every row.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
-from toricpic.lattice import dot, rational_rank, rational_solve
-from toricpic.polyhedra import cone_extreme_rays, cone_hrep
+from toricpic.lattice import dot, rational_kernel, rational_rank, rational_solve, scale_to_integer
+from toricpic.polyhedra import cone_hrep
+
+
+def kernel(rows, n: int):
+    """Rational kernel basis of the rows in Q^n; all of Q^n when there are none."""
+    if not rows:
+        return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    return rational_kernel(rows)
+
+
+def subset_extreme_rays(ineqs, eqs, n: int):
+    """Extreme rays of the pointed cone {x : A x >= 0, E x = 0}, sorted.
+
+    An extreme ray is cut out by the equations plus tight inequalities of
+    rank n - 1, so every subset of the inequalities of the right size is
+    tried.
+    """
+    ineqs = [tuple(a) for a in ineqs]
+    eqs = [tuple(e) for e in eqs]
+    need = n - 1 - rational_rank(eqs)
+    if need < 0:
+        return ()
+    rays = set()
+    for subset in combinations(ineqs, need):
+        kern = kernel(eqs + list(subset), n)
+        if len(kern) != 1:
+            continue
+        v = scale_to_integer(kern[0])
+        for w in (v, tuple(-x for x in v)):
+            if all(dot(a, w) >= 0 for a in ineqs):
+                rays.add(w)
+    return tuple(sorted(rays))
+
+
+def subset_hull_facets(points, n: int):
+    """(facets, eqs) of conv(points), as `polyhedra.hull_facets` returns them.
+
+    Facets are tried on every d-subset of the points (d the affine
+    dimension): a normal to the subset's affine span that is one-signed on
+    all points.  Equations come in the order of the kernel basis.
+    """
+    pts = sorted({tuple(Fraction(c) for c in p) for p in points})
+    p0 = pts[0]
+    dirs = [tuple(a - b for a, b in zip(p, p0)) for p in pts[1:]]
+    d = rational_rank(dirs)
+    eqs = []
+    for normal in kernel(dirs, n):
+        nn = scale_to_integer(normal)
+        eqs.append((nn, sum(Fraction(a) * b for a, b in zip(nn, p0))))
+    facets = {}
+    if d == 0:
+        return [], eqs
+    for subset in combinations(pts, d):
+        s0 = subset[0]
+        rows = [[a - b for a, b in zip(p, s0)] for p in subset[1:]]
+        if rational_rank(rows) != d - 1:
+            continue
+        for cand in kernel(rows, n):
+            vals = [sum(c * (a - b) for c, a, b in zip(cand, p, s0)) for p in pts]
+            if all(v == 0 for v in vals):
+                continue
+            if all(v >= 0 for v in vals):
+                nn = scale_to_integer(cand)
+            elif all(v <= 0 for v in vals):
+                nn = scale_to_integer([-c for c in cand])
+            else:
+                break
+            facets[nn] = sum(Fraction(a) * b for a, b in zip(nn, s0))
+            break
+    return sorted(facets.items()), eqs
+
+
+def subset_polytope_vertices(rays, coeffs):
+    """Sorted vertices of the bounded P_D = {m : <m, u> >= -a}: the solutions
+    of rank-n subsets of the rows that satisfy every row."""
+    n = len(rays[0])
+    vertices = set()
+    for subset in combinations(range(len(rays)), n):
+        rows = [rays[i] for i in subset]
+        if rational_rank(rows) != n:
+            continue
+        point = rational_solve(rows, [-coeffs[i] for i in subset])
+        if all(dot(u, point) >= -a for u, a in zip(rays, coeffs)):
+            vertices.add(tuple(point))
+    return tuple(sorted(vertices))
 
 
 def caratheodory_contains(gens, x) -> bool:
@@ -42,7 +133,7 @@ def cone_intersection_rays(gens1, gens2, n: int):
     a2, e2 = cone_hrep(gens2, n)
     ineqs = tuple(sorted(set(a1) | set(a2)))
     eqs = tuple(sorted(set(e1) | set(e2)))
-    return cone_extreme_rays(ineqs, eqs, n)
+    return subset_extreme_rays(ineqs, eqs, n)
 
 
 def is_face_of(face_gens, cone_gens, n: int) -> bool:
@@ -57,9 +148,9 @@ def is_face_of(face_gens, cone_gens, n: int) -> bool:
         return False
     ineqs, eqs = cone_hrep(cone_gens, n)
     tight = [a for a in ineqs if all(dot(a, g) == 0 for g in face_gens)]
-    smallest = cone_extreme_rays(ineqs, tuple(eqs) + tuple(tight), n)
+    smallest = subset_extreme_rays(ineqs, tuple(eqs) + tuple(tight), n)
     a_f, e_f = cone_hrep(face_gens, n)
-    return sorted(smallest) == sorted(cone_extreme_rays(a_f, e_f, n))
+    return sorted(smallest) == sorted(subset_extreme_rays(a_f, e_f, n))
 
 
 def meet_in_common_face(gens1, gens2, n: int) -> bool:

@@ -1,11 +1,15 @@
 """Fan construction, validation, face machinery, smooth/complete predicates."""
 
 import random
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import polyhedral_oracle as oracle
 import pytest
+from test_cohomology import blown_up_plane
 
+from toricpic.divisor import divisor_polytope
 from toricpic.errors import InputError
 from toricpic.fan import Fan, cone_intersection, faces, is_complete, is_smooth, validate_fan
 from toricpic.lattice import dot, integer_kernel, primitive, rational_rank
@@ -14,6 +18,7 @@ from toricpic.polyhedra import (
     cone_contains,
     cone_extreme_rays,
     cone_hrep,
+    hull_facets,
     is_pointed,
     meet_in_common_face,
 )
@@ -348,3 +353,51 @@ def test_cone_membership_and_pointedness_match_oracles():
             else:
                 seen["outside_in_span"] += 1
     assert min(seen.values()) >= 100, seen
+
+
+def test_facet_routines_match_subset_oracles():
+    # Hull facets, extreme rays and polytope vertices are all read off
+    # cone_hrep; the subset searches they replaced are the reference.
+    rng = random.Random(1405)
+    hull_dims = Counter()
+    for trial in range(240):
+        n = 1 + trial % 4
+        base = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n))
+        dirs = [_random_vector(rng, n, 2) for _ in range(rng.randint(0, n))]
+        points = [base]
+        for _ in range(rng.randint(0, len(dirs) + 4)):
+            w = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in dirs]
+            points.append(tuple(b + sum(c * v[i] for c, v in zip(w, dirs)) for i, b in enumerate(base)))
+        points += [rng.choice(points) for _ in range(rng.randint(0, 2))]
+        facets, eqs = hull_facets(points, n)
+        ref_facets, ref_eqs = oracle.subset_hull_facets(points, n)
+        assert facets == ref_facets and sorted(eqs) == sorted(ref_eqs), points
+        hull_dims[n, n - len(eqs)] += 1
+    # Every affine dimension 0..n in every rank, single points included.
+    assert all(hull_dims[n, d] >= 5 for n in range(1, 5) for d in range(n + 1)), hull_dims
+
+    cones = faces_seen = 0
+    while cones < 200:
+        n = 1 + cones % 4
+        gens = [_random_vector(rng, n, 2) for _ in range(rng.randint(1, n + 3))]
+        ineqs, eqs = cone_hrep(gens, n)
+        if rational_rank(ineqs + eqs) < n:
+            continue  # cone(gens) holds a line
+        cones += 1
+        face_eqs = eqs + tuple(rng.sample(ineqs, rng.randint(0, len(ineqs))))
+        faces_seen += len(face_eqs) > len(eqs)
+        for e in (eqs, face_eqs):
+            assert cone_extreme_rays(ineqs, e, n) == oracle.subset_extreme_rays(ineqs, e, n), (ineqs, e)
+    assert faces_seen >= 100, faces_seen
+
+    fans = [named_fan(name) for name in NAMED_FAN_NAMES] + [blown_up_plane(k, rng) for k in (5, 6, 8)]
+    kinds = Counter()
+    for fan in fans:
+        for _ in range(16):
+            coeffs = tuple(rng.randint(-2, 3) for _ in fan.rays)
+            polytope = divisor_polytope(fan, coeffs)
+            verts = oracle.subset_polytope_vertices(fan.rays, coeffs)
+            dim = rational_rank([[a - b for a, b in zip(v, verts[0])] for v in verts]) if verts else -1
+            assert (polytope.vertices, polytope.dim) == (verts, dim), (fan.rays, coeffs)
+            kinds["empty" if dim < 0 else "lower" if dim < fan.rank else "full"] += 1
+    assert min(kinds.values()) >= 10, kinds

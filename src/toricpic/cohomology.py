@@ -13,10 +13,11 @@ hull of the Cartier witnesses and the polytope vertices, dilated by one in
 every coordinate); degrees sharing a sign pattern share a complex, so each
 pattern is ranked once.  The region's rational inequalities are cleared
 once to integer rows with ceiling thresholds, which select the same
-integer degrees, and its box is scanned by the integer scanner of
+integer degrees, and its box is scanned by the interval scanner of
 `lattice`, the one `divisor.lattice_points` uses too.  A box of more than
 `lattice.SCAN_LIMIT` points is refused with InputError when the region is
-built.
+built.  A degree's sign pattern is read off the rays as integer rows
+(u, -a), with the scanner's own row test sum(u·m) >= -a.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 
 from .divisor import (
     as_divisor,
@@ -79,8 +81,13 @@ def _cones_by_size(fan: Fan) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(tuple(sorted(cones)) for cones in found)
 
 
-def _sign_pattern(fan: Fan, coeffs, m) -> tuple[bool, ...]:
-    return tuple(dot(m, u) >= -a for u, a in zip(fan.rays, coeffs))
+def _sign_rows(fan: Fan, coeffs) -> tuple[tuple[IntVector, int], ...]:
+    """Each ray as the integer row (u, -a): <m, u> >= -a is its sign at m."""
+    return tuple((u, -a) for u, a in zip(fan.rays, coeffs))
+
+
+def _sign_pattern(rows, m) -> tuple[bool, ...]:
+    return tuple(sum(map(mul, u, m)) >= t for u, t in rows)
 
 
 def _dims(sizes, ranks) -> list[int]:
@@ -134,7 +141,7 @@ def graded_piece_cohomology(fan: Fan, divisor, m, check_prime=None) -> list[int]
     m = tuple(int(x) for x in m)
     if len(m) != fan.rank:
         raise InputError(f"degree has length {len(m)}, expected {fan.rank}")
-    return list(_pattern_dims(fan, _sign_pattern(fan, d.coeffs, m), check_prime))
+    return list(_pattern_dims(fan, _sign_pattern(_sign_rows(fan, d.coeffs), m), check_prime))
 
 
 @dataclass(frozen=True)
@@ -208,11 +215,12 @@ def cohomology(fan: Fan, divisor, want_graded: bool = False, check_prime=None) -
     _require_prime(check_prime)
     region = support_region(fan, d)
     n = fan.rank
+    rows = _sign_rows(fan, d.coeffs)
     pattern_cache: dict[tuple[bool, ...], tuple[int, ...]] = {}
     dims = {i: 0 for i in range(n + 1)}
     graded: dict[int, list] = {i: [] for i in range(n + 1)} if want_graded else None
     for m in region.points():
-        pattern = _sign_pattern(fan, d.coeffs, m)
+        pattern = _sign_pattern(rows, m)
         piece = pattern_cache.get(pattern)
         if piece is None:
             piece = _pattern_dims(fan, pattern, check_prime)

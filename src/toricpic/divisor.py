@@ -30,7 +30,7 @@ from .lattice import (
     vec_scale,
     vec_sub,
 )
-from .polyhedra import CACHE_SIZE, cone_extreme_rays
+from .polyhedra import CACHE_SIZE, cone_extreme_rays, cone_hrep
 
 QVector = tuple[Fraction, ...]
 
@@ -379,14 +379,6 @@ class DivisorPolytope:
         return all(dot(normal, m) >= rhs for normal, rhs in self.inequalities)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _recession_cone_is_zero(rays, n) -> bool:
-    # {m : <m,u> >= 0 for all rays} = {0} iff the rays positively span N_R.
-    if rational_rank(rays) < n:
-        return False
-    return not cone_extreme_rays(rays, (), n)
-
-
 def divisor_polytope(fan: Fan, divisor) -> DivisorPolytope:
     """Inequality representation plus vertex enumeration of P_D.
 
@@ -399,7 +391,9 @@ def divisor_polytope(fan: Fan, divisor) -> DivisorPolytope:
     """
     d = as_divisor(fan, divisor)
     n = fan.rank
-    if not _recession_cone_is_zero(tuple(tuple(u) for u in fan.rays), n):
+    # {m : <m,u> >= 0 for all rays} = {0} iff the rays positively span N_R,
+    # that is, iff their cone has no facet and no equation.
+    if cone_hrep(fan.rays, n) != ((), ()):
         raise HypothesisError(
             "divisor polytope is unbounded: fan rays do not positively span N_R"
         )

@@ -10,7 +10,10 @@ solution.  All row elimination over a field goes through one
 fraction-free Gauss-Jordan routine, `rref`, over Q or GF(p): ranks,
 rational kernels and solutions, and determinants read its output.  All
 lattice-point enumeration goes through one integer box scanner,
-`_scan_box`, which refuses a box of more than `SCAN_LIMIT` points.
+`_scan_box`: for each prefix of the first n-1 coordinates it reads the
+exact interval of the last coordinate off the integer rows and emits it
+whole, so no point is tested.  It refuses a box of more than `SCAN_LIMIT`
+points, counted over the whole box.
 """
 
 from __future__ import annotations
@@ -138,12 +141,32 @@ def _scan_box(box, rows) -> list[IntVector]:
     A rational inequality normal·m >= rhs with an integer normal holds at
     an integer point exactly when normal·m >= ceil(rhs), and a strict one
     normal·m > rhs exactly when normal·m >= floor(rhs) + 1, so callers
-    clear their denominators once and every point costs integer sums only.
+    clear their denominators once and use integer arithmetic only.
+
+    No point is tested.  For each prefix x of the first n-1 coordinates a
+    row c·y >= s on the last coordinate y (s = threshold - normal'·x) is
+    an exact integer bound: y >= ceil(s/c) when c > 0, y <= floor(s/c)
+    when c < 0, and a test of the prefix alone when c = 0.  The interval
+    they leave is emitted whole, so the cost is prefixes × rows + points.
     """
     if not require_scannable(box):
         return []  # product() would still build every nonempty side's range
-    points = product(*(range(lo, hi + 1) for lo, hi in box))
-    return [m for m in points if all(sum(map(mul, normal, m)) >= t for normal, t in rows)]
+    *head, (lo, hi) = box
+    split = [(normal[:-1], normal[-1], t) for normal, t in rows]
+    points = []
+    for prefix in product(*(range(a, b + 1) for a, b in head)):
+        start, stop = lo, hi
+        for rest, c, t in split:
+            s = t - sum(map(mul, rest, prefix))
+            if c > 0:
+                start = max(start, -(-s // c))
+            elif c < 0:
+                stop = min(stop, s // c)
+            elif s > 0:
+                break
+        else:
+            points.extend(prefix + (y,) for y in range(start, stop + 1))
+    return points
 
 
 # ---------------------------------------------------------------------------

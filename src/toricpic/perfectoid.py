@@ -2,7 +2,8 @@
 
 A line bundle on the perfectoid cover is modelled as a formal p^k-th root
 of a line bundle on X: a class in Pic(X) together with a level k, kept in
-a normal form where either k = 0 or the class is not divisible by p.  Its
+a normal form where either k = 0 or the class is not divisible by p in
+Pic(X).  Its
 cohomology is the completed colimit of the levels p^n·D along m -> p·m,
 represented finitely as the exact dimensions and graded bases of levels
 0..n_max.
@@ -26,12 +27,11 @@ before any level is computed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 
 from .cohomology import CheckVerdict, cohomology
 from .divisor import (
-    ClassGroup,
     TDivisor,
+    _cartier_divisor_lattice,
     as_divisor,
     cartier_witnesses,
     class_group,
@@ -42,7 +42,7 @@ from .divisor import (
 )
 from .errors import HypothesisError, InputError
 from .fan import Fan, validate_fan
-from .lattice import GroupElement, is_prime
+from .lattice import GroupElement, is_prime, matvec, solve_integer_system
 
 VANISHES = "vanishes"
 STABILIZES = "stabilizes-to-basis"
@@ -70,34 +70,12 @@ def _require_perfectoid_fan(fan: Fan, assume_trivialization: bool) -> None:
         )
 
 
-def _divide_class_by_p(cl: ClassGroup, elem: GroupElement, p: int) -> GroupElement | None:
-    """Solve p·x = elem in the class group, or None.
-
-    Free coordinates divide exactly or fail; a torsion coordinate c mod d is
-    divisible iff gcd(p, d) divides c, and the smallest non-negative
-    solution is chosen.
-    """
-    pres = cl.presentation
-    if any(c % p for c in elem.free):
-        return None
-    free = tuple(c // p for c in elem.free)
-    torsion = []
-    for c, d in zip(elem.torsion, pres.invariant_factors):
-        g = gcd(p, d)
-        if c % g:
-            return None
-        dd = d // g
-        x = (c // g) * pow(p // g, -1, dd) % dd if dd > 1 else 0
-        torsion.append(x)
-    return pres.element(free, torsion)
-
-
 @dataclass(frozen=True)
 class PerfectoidBundle:
     """A formal p^level-th root of the line bundle with class `base_class`.
 
-    Normal form: level = 0 or base_class not divisible by p in the class
-    group.  `representative` is a Cartier divisor with class base_class,
+    Normal form: level = 0 or base_class not divisible by p in Pic(X).
+    `representative` is a Cartier divisor with class base_class,
     used whenever a polytope or a cohomology computation is needed.
     Equality is on (fan, p, level, class); the representative is auxiliary.
     """
@@ -109,19 +87,29 @@ class PerfectoidBundle:
     representative: TDivisor = field(compare=False)
 
 
-def _normalized(fan: Fan, p: int, cls: GroupElement, level: int, rep: TDivisor) -> PerfectoidBundle:
-    cl = class_group(fan)
+def _normalized(fan: Fan, p: int, level: int, rep: TDivisor) -> PerfectoidBundle:
+    """The root of level `level` of the Cartier divisor `rep`, with p divided
+    out in Pic(X) while it divides.
+
+    One division solves p·E + div(m) = D over the integers with E in the
+    Cartier lattice, so the quotient's class lies in Pic(X) and every
+    divisor of that class is Cartier.  The representative of a divided
+    class is its deterministic class-group lift.
+    """
     changed = False
+    if level > 0:
+        basis = tuple(zip(*_cartier_divisor_lattice(fan)))  # generators as columns
+        rows = [[p * x for x in row] + list(u) for row, u in zip(basis, fan.rays)]
     while level > 0:
-        divided = _divide_class_by_p(cl, cls, p)
-        if divided is None:
+        x = solve_integer_system(rows, rep.coeffs)
+        if x is None:
             break
-        cls = divided
+        rep = TDivisor(matvec(basis, x[: len(basis[0])]))
         level -= 1
         changed = True
-    if changed:
-        rep = cl.lift(cls)
-    return PerfectoidBundle(fan, p, level, cls, rep)
+    cl = class_group(fan)
+    cls = cl.project(rep)
+    return PerfectoidBundle(fan, p, level, cls, cl.lift(cls) if changed else rep)
 
 
 def from_divisor(fan: Fan, divisor, p: int, level: int, assume_trivialization: bool = False) -> PerfectoidBundle:
@@ -135,8 +123,7 @@ def from_divisor(fan: Fan, divisor, p: int, level: int, assume_trivialization: b
     d = as_divisor(fan, divisor)
     if cartier_witnesses(fan, d) is None:
         raise HypothesisError("divisor is not Cartier; it defines no line bundle")
-    cls = class_group(fan).project(d)
-    return _normalized(fan, p, cls, level, d)
+    return _normalized(fan, p, level, d)
 
 
 def _check_compatible(l1: PerfectoidBundle, l2: PerfectoidBundle) -> None:
@@ -150,15 +137,9 @@ def tensor(l1: PerfectoidBundle, l2: PerfectoidBundle) -> PerfectoidBundle:
     """Common-denominator addition in Pic(X)[1/p]."""
     _check_compatible(l1, l2)
     fan, p = l1.fan, l1.p
-    cl = class_group(fan)
     k = max(l1.level, l2.level)
-    s1 = p ** (k - l1.level)
-    s2 = p ** (k - l2.level)
-    cls = cl.presentation.add(
-        cl.presentation.scale(s1, l1.base_class), cl.presentation.scale(s2, l2.base_class)
-    )
-    rep = s1 * l1.representative + s2 * l2.representative
-    return _normalized(fan, p, cls, k, rep)
+    rep = p ** (k - l1.level) * l1.representative + p ** (k - l2.level) * l2.representative
+    return _normalized(fan, p, k, rep)
 
 
 def inverse(l: PerfectoidBundle) -> PerfectoidBundle:
@@ -185,7 +166,7 @@ def frobenius_pullback(l: PerfectoidBundle) -> PerfectoidBundle:
 
 def formal_root(l: PerfectoidBundle) -> PerfectoidBundle:
     """The formal p-th root: the inverse of frobenius_pullback."""
-    return _normalized(l.fan, l.p, l.base_class, l.level + 1, l.representative)
+    return _normalized(l.fan, l.p, l.level + 1, l.representative)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ from tower_oracle import basepoint_free_levels, embedding_failures
 
 from toricpic.cli import main
 from toricpic.cohomology import graded_piece_cohomology, support_region
-from toricpic.divisor import TDivisor, is_cartier
+from toricpic.divisor import TDivisor, class_group, is_cartier
 from toricpic.errors import HypothesisError, InputError
+from toricpic.fan import Fan
 from toricpic.library import NAMED_FAN_NAMES, named_fan
 from toricpic.perfectoid import (
     STABILIZES,
@@ -66,8 +67,10 @@ def test_from_divisor_requires_smooth_fan():
     with pytest.raises(HypothesisError):
         from_divisor(p112, (2, 0, 0), 2, 1)
     # The escape hatch accepts the fan at the user's risk.
+    # 2·D_0 generates Pic(P112) = 2Z, so it has no square root in Pic.
     l = from_divisor(p112, (2, 0, 0), 2, 1, assume_trivialization=True)
-    assert l.level == 0
+    assert l.level == 1
+    assert is_cartier(p112, l.representative)
 
 
 def test_from_divisor_requires_prime():
@@ -145,6 +148,44 @@ def test_frobenius_root_round_trip():
         l = from_divisor(P2, random_divisor(rng, P2), 2, rng.randint(0, 3))
         assert frobenius_pullback(formal_root(l)) == l
         assert formal_root(frobenius_pullback(l)) == l
+
+
+def test_pic_arithmetic_keeps_cartier_representatives():
+    """Roots are divided in Pic(X), not in Cl(X): on smooth and non-smooth
+    fans every operation returns a Cartier representative of its class, the
+    normal form holds, and formal_root inverts frobenius_pullback."""
+    rng = random.Random(83)
+    triangle = [(0, 1), (1, 2), (2, 0)]
+    nonsmooth = [
+        named_fan("P112"),
+        Fan(2, [(1, 0), (0, 1), (-2, -3)], triangle),  # P(1,2,3)
+        Fan(2, [(2, -1), (-1, 2), (-1, -1)], triangle),  # Cl = Z + Z/3, Pic = 3Z
+    ]
+    seen = Counter()
+    for fan in [P2, P1xP1, named_fan("F1"), named_fan("P3")] + nonsmooth:
+        cl = class_group(fan)
+
+        def draw(p):
+            while True:
+                d = random_divisor(rng, fan, -3, 3)
+                if is_cartier(fan, d):
+                    return from_divisor(fan, d, p, rng.randint(0, 3), assume_trivialization=True)
+
+        for _ in range(8):
+            p = rng.choice((2, 3))
+            l, other = draw(p), draw(p)
+            for bundle in (l, tensor(l, other), inverse(l), frobenius_pullback(l), formal_root(l)):
+                assert is_cartier(fan, bundle.representative), (fan.rays, bundle)
+                assert cl.project(bundle.representative) == bundle.base_class
+                if bundle.level:
+                    # Normal form: the class has no p-th root in Pic(X).
+                    again = from_divisor(fan, bundle.representative, p, 1, assume_trivialization=True)
+                    assert again.level == 1, (fan.rays, bundle)
+            assert formal_root(frobenius_pullback(l)) == l
+            assert frobenius_pullback(formal_root(l)) == l
+            seen["nonsmooth" if fan in nonsmooth else "smooth"] += 1
+            seen["kept level"] += fan in nonsmooth and l.level > 0
+    assert seen["smooth"] == 32 and seen["nonsmooth"] == 24 and seen["kept level"] >= 5, seen
 
 
 def test_frobenius_distributes_over_tensor():

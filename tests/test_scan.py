@@ -50,7 +50,9 @@ def random_region(rng):
 
 def test_integer_scan_matches_fraction_reference():
     rng = random.Random(71)
-    seen = {"empty box": 0, "non-integer rhs": 0, "negative rhs": 0, "equation": 0, "points": 0}
+    seen = {"empty box": 0, "non-integer rhs": 0, "negative rhs": 0, "equation": 0, "points": 0,
+            "rank 1": 0, "zero last coefficient": 0, "negative last coefficient": 0,
+            "empty interval": 0}
     for _ in range(600):
         box, rows = random_region(rng)
         strict = {k for k in range(len(rows)) if rng.random() < 0.3}
@@ -70,6 +72,18 @@ def test_integer_scan_matches_fraction_reference():
             tuple(-c for c in a) == b and -r == s for (a, r), (b, s) in zip(rows, rows[1:])
         )
         seen["points"] += bool(expected)
+        # The scanner bounds the last coordinate per prefix of the others: an
+        # empty prefix at rank 1, a test of the prefix alone when the last
+        # coefficient is 0, an upper bound when it is negative, and no
+        # points for a nonempty prefix whose interval is empty.
+        seen["rank 1"] += len(box) == 1
+        seen["zero last coefficient"] += any(normal[-1] == 0 for normal, _ in rows)
+        seen["negative last coefficient"] += any(normal[-1] < 0 for normal, _ in rows)
+        prefixes = set(product(*(range(lo, hi + 1) for lo, hi in box[:-1])))
+        last_lo, last_hi = box[-1]
+        seen["empty interval"] += last_lo <= last_hi and bool(
+            prefixes - {m[:-1] for m in expected}
+        )
     assert all(count >= 20 for count in seen.values()), seen
 
 
@@ -125,6 +139,46 @@ def test_lattice_points_match_fraction_reference():
     # Full-dimensional, lower-dimensional and empty polytopes all occur.
     assert {(2, 2), (2, 1), (2, 0), (2, -1), (3, 3)} <= dims, dims
     assert any(rank > dim >= 0 for rank, dim in dims)
+
+
+def bott(n, d):
+    """dim H^i(P^n, O(d)) for i = 0..n (Bott's formula)."""
+    dims = {i: 0 for i in range(n + 1)}
+    if d >= 0:
+        dims[0] = math.comb(n + d, n)
+    elif d <= -n - 1:
+        dims[n] = math.comb(-d - 1, n)
+    return dims
+
+
+def kunneth(a, b):
+    """dim H^i(P1 x P1, O(a, b)) for i = 0..2, from the line's h^0 and h^1."""
+    line = lambda d: (max(d + 1, 0), max(-d - 1, 0))  # noqa: E731
+    (a0, a1), (b0, b1) = line(a), line(b)
+    return {0: a0 * b0, 1: a0 * b1 + a1 * b0, 2: a1 * b1}
+
+
+def test_bench_scale_dims_match_closed_forms():
+    """Dilations at the size of the benchmark: dims against Bott and
+    Künneth, and the graded h^0 degrees against the Fraction scan of P_D."""
+    start = time.process_time()
+    cases = [(named_fan("P2"), (0, 0, s * t), bott(2, s * t)) for t in (20, 50, 80) for s in (1, -1)]
+    cases += [(named_fan("P3"), (0, 0, 0, s * t), bott(3, s * t)) for t in (6, 13) for s in (1, -1)]
+    cases += [
+        (named_fan("P1xP1"), (a, b, 0, 0), kunneth(a, b))
+        for a, b in ((30, 25), (30, -20), (-25, 40), (-30, -30), (17, -2))
+    ]
+    graded = 0
+    for fan, coeffs, expected in cases:
+        d = TDivisor(coeffs)
+        table = toricpic.cohomology(fan, d, want_graded=sum(coeffs) > 0)
+        assert table.dims == expected, (fan.rays, coeffs)
+        if table.graded is not None:
+            h0 = [m for m, mult in table.graded[0] for _ in range(mult)]
+            assert h0 == polytope_lattice_points(divisor_polytope(fan, d)), (fan.rays, coeffs)
+            graded += 1
+    assert graded == 9
+    assert time.process_time() - start < 2.0
 
 
 def test_oversized_box_refused():

@@ -311,7 +311,7 @@ def _run(job: JobSpec, report: Report) -> None:
         witnesses = dv.cartier_witnesses(fan, job.divisor)
         if witnesses is None:
             raise InputError("divisor is not Cartier; no cocycle exists")
-        alpha = dv.divisor_to_cocycle(fan, job.divisor)
+        alpha = dv._cocycle_from_witnesses(fan, witnesses)
         report.results.append(("witnesses", _fmt_vecs(witnesses)))
         for (i, j), m in alpha.entries:
             report.results.append((f"m_{i}_{j}", _fmt_vec(m)))

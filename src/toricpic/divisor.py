@@ -1,9 +1,10 @@
 """Torus-invariant divisors and everything they generate.
 
 Covers the class group as the cokernel of the ray-pairing map, Cartier
-data and the Picard subgroup, the monic-monomial cocycle model of a line
-bundle on the maximal-cone cover, divisor polytopes with exact rational
-vertices, and basepoint-freeness.
+data, the Picard group as CDiv_T(X)/M with its index [Z^rays : CDiv_T(X)]
+in the class group, the monic-monomial cocycle model of a line bundle on
+the maximal-cone cover, divisor polytopes with exact rational vertices,
+and basepoint-freeness.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .fan import Fan, validate_fan
 from .lattice import (
     AbelianGroupPresentation,
     GroupElement,
-    IntMatrix,
     IntVector,
     _scan_box,
     cokernel,
@@ -73,18 +73,12 @@ def principal_divisor(fan: Fan, m) -> TDivisor:
     return TDivisor(tuple(dot(m, u) for u in fan.rays))
 
 
-def div_map(fan: Fan) -> IntMatrix:
-    """Matrix of m -> (<m, u_rho>)_rho: one row per ray."""
-    return fan.rays  # rays are rows; pairing is the standard dot product
-
-
 @dataclass(frozen=True)
 class ClassGroup:
     """Cl(X) presented as the cokernel of the ray-pairing map, with a
     projection from divisor coordinates to class coordinates."""
 
     presentation: AbelianGroupPresentation
-    div_map: IntMatrix
 
     def project(self, divisor: TDivisor) -> GroupElement:
         return self.presentation.project(divisor.coeffs)
@@ -94,16 +88,16 @@ class ClassGroup:
 
 
 def class_group(fan: Fan) -> ClassGroup:
-    """Cl(X) = Z^rays / im(div_map).  Requires the rays to span N_R."""
+    """Cl(X) = Z^rays / div(M), where div(m) = (<m, u_rho>)_rho is the
+    matrix of rays as rows.  Requires the rays to span N_R."""
     report = validate_fan(fan)
     if not report.valid:
         raise InputError(f"fan is not valid: {report.diagnostics}")
-    a = div_map(fan)
-    if rational_rank(a) != fan.rank:
+    if rational_rank(fan.rays) != fan.rank:
         raise HypothesisError(
             "rays do not span N_R; the divisor sequence needs a torus-factor-free fan"
         )
-    return ClassGroup(cokernel(a), a)
+    return ClassGroup(cokernel(fan.rays))
 
 
 def cartier_witnesses(fan: Fan, divisor) -> tuple[IntVector, ...] | None:
@@ -130,8 +124,10 @@ def is_cartier(fan: Fan, divisor) -> bool:
     return cartier_witnesses(fan, divisor) is not None
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _cartier_divisor_lattice(fan: Fan) -> tuple[IntVector, ...]:
-    """Generators of the lattice of Cartier divisors inside Z^rays.
+    """Generators of the lattice CDiv_T(X) of Cartier divisors inside Z^rays,
+    a basis when every maximal cone is full-dimensional.
 
     a is Cartier iff -a restricted to each maximal cone lies in the image
     of the cone's ray-pairing map; stacking those conditions and projecting
@@ -181,52 +177,28 @@ def picard_embedding(fan: Fan) -> PicardEmbedding:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _picard(fan: Fan):
+    """Pic(X) off the exact sequence 0 -> M -> CDiv_T(X) -> Pic(X) -> 0
+    (Cox–Little–Schenck, Thm 4.2.1), which holds on complete fans.
+
+    With B a basis of CDiv_T(X), Pic(X) is Z^B modulo the B-coordinates of
+    div(e_1), ..., div(e_n); principal divisors are Cartier, so they have
+    such coordinates.  Cl(X)/Pic(X) = Z^rays/CDiv_T(X), so the index is
+    [Z^rays : CDiv_T(X)], infinite when CDiv_T(X) has lower rank.
+    """
     report = validate_fan(fan)
     if not report.valid:
         raise InputError(f"fan is not valid: {report.diagnostics}")
     if not report.complete:
         raise HypothesisError("Picard group computation requires a complete fan")
     cl = class_group(fan)
-    pres = cl.presentation
-    gens = [pres.project(v) for v in _cartier_divisor_lattice(fan)]
-
-    f = pres.free_rank
-    t = len(pres.invariant_factors)
-    coords = [list(g.free) + list(g.torsion) for g in gens]
-    # Relations among the generators: integer combinations hitting zero in
-    # Cl, i.e. zero on the free part and divisible on the torsion part.
-    s = len(gens)
-    width = s + t
-    rows = []
-    for i in range(f):
-        rows.append([coords[j][i] for j in range(s)] + [0] * t)
-    for i in range(t):
-        rows.append(
-            [coords[j][f + i] for j in range(s)]
-            + [pres.invariant_factors[i] if k == i else 0 for k in range(t)]
-        )
-    if not rows:
-        rows = [[0] * width]
-    relations = [v[:s] for v in integer_kernel(rows)]
-    relation_matrix = [[rel[i] for rel in relations] for i in range(s)] if relations else [[] for _ in range(s)]
-    sub_pres = cokernel(relation_matrix, ambient_rank=s)
-
-    # Index [Cl : Pic]: the quotient of Cl by the generated subgroup.
-    ambient = f + t
-    quot_cols = [list(g.free) + list(g.torsion) for g in gens]
-    for i in range(t):
-        quot_cols.append([0] * f + [pres.invariant_factors[i] if k == i else 0 for k in range(t)])
-    quot_matrix = [[col[i] for col in quot_cols] for i in range(ambient)]
-    quotient = cokernel(quot_matrix, ambient_rank=ambient)
-    if quotient.free_rank == 0:
-        index = 1
-        for d in quotient.invariant_factors:
-            index *= d
-    else:
-        index = None
-
-    emb = PicardEmbedding(tuple(gens), index)
-    return sub_pres, emb
+    basis = _cartier_divisor_lattice(fan)
+    columns = tuple(zip(*basis))  # one column per generator of CDiv_T(X)
+    principal = [solve_integer_system(columns, u) for u in zip(*fan.rays)]
+    pres = cokernel(tuple(zip(*principal)), ambient_rank=len(basis))
+    quotient = cokernel(columns, ambient_rank=len(fan.rays))
+    index = math.prod(quotient.invariant_factors) if quotient.free_rank == 0 else None
+    gens = tuple(cl.presentation.project(v) for v in basis)
+    return pres, PicardEmbedding(gens, index)
 
 
 # ---------------------------------------------------------------------------

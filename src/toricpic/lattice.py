@@ -395,11 +395,6 @@ def solve_integer_system(rows, b) -> IntVector | None:
     return matvec(v, y)
 
 
-def in_image_lattice(rows, b) -> bool:
-    """Whether b lies in the lattice A·Z^c."""
-    return solve_integer_system(rows, b) is not None
-
-
 # ---------------------------------------------------------------------------
 # Finitely generated abelian groups as cokernels
 # ---------------------------------------------------------------------------

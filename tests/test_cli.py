@@ -7,6 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
+from picard_oracle import cube_fan
 
 import toricpic
 from toricpic.cli import JobSpec, load_fan, main, parse_fan_file, run, serialize_fan
@@ -149,6 +150,17 @@ def test_picard_command_p112(capsys):
     assert code == 0
     assert "picard_group: Z" in out
     assert "index_in_class_group: 2" in out
+
+
+def test_picard_command_cube_fan_index_infinite(tmp_path, capsys):
+    # Non-simplicial: CDiv_T(X) has rank 4 in Z^8, so Pic(X) = Z has
+    # infinite index in Cl(X) = Z^5 + Z/2 + Z/2.
+    path = tmp_path / "cube.fan"
+    path.write_text(serialize_fan(cube_fan()))
+    code, out, _ = run_main(["picard", "--fan", str(path)], capsys)
+    assert code == 0
+    assert "picard_group: Z\n" in out
+    assert "index_in_class_group: infinite" in out
 
 
 def test_cocycle_command(capsys):

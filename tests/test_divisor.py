@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from picard_oracle import picard_by_relations, seeded_fans
 
 from toricpic.errors import HypothesisError
 from toricpic.divisor import (
     MonomialCocycle,
     TDivisor,
+    _cartier_divisor_lattice,
     as_divisor,
     cartier_witnesses,
     check_cocycle,
@@ -23,7 +25,8 @@ from toricpic.divisor import (
     picard_group,
     principal_divisor,
 )
-from toricpic.fan import Fan
+from toricpic.fan import Fan, validate_fan
+from toricpic.lattice import solve_integer_system
 from toricpic.library import named_fan
 
 P2 = named_fan("P2")
@@ -122,6 +125,37 @@ def test_picard_requires_complete_fan():
     fan = Fan(2, [(1, 0), (0, 1)], [(0, 1)])
     with pytest.raises(HypothesisError):
         picard_group(fan)
+
+
+def test_picard_matches_relation_kernel_oracle():
+    """Pic(X) = CDiv_T(X)/M agrees with the relation kernel in Cl(X): same
+    group, same index [Cl : Pic], same generators, and the same relations
+    on the shared ambient Z^B."""
+    rng = random.Random(97)
+    indices = set()
+    for fan in seeded_fans():
+        pres, emb = picard_group(fan), picard_embedding(fan)
+        oracle_pres, oracle_emb = picard_by_relations(fan)
+        assert pres.describe() == oracle_pres.describe(), fan.rays
+        assert pres.invariant_factors == oracle_pres.invariant_factors, fan.rays
+        assert emb == oracle_emb, fan.rays
+        assert pres.ambient_rank == oracle_pres.ambient_rank
+        for _ in range(8):
+            x = tuple(rng.randint(-3, 3) for _ in range(pres.ambient_rank))
+            assert pres.project(x).is_zero() == oracle_pres.project(x).is_zero(), (fan.rays, x)
+        # A principal divisor has B-coordinates, and they vanish in Pic(X).
+        columns = tuple(zip(*_cartier_divisor_lattice(fan)))
+        m = tuple(rng.randint(-3, 3) for _ in range(fan.rank))
+        assert pres.project(solve_integer_system(columns, principal_divisor(fan, m).coeffs)).is_zero()
+        indices.add(emb.index)
+    assert indices == {1, 2, 6, 9, 10, 15, 18, None}
+
+
+def test_picard_is_free_on_complete_fans():
+    # Cox–Little–Schenck, Prop 4.2.5: Pic(X) of a complete fan is free.
+    for fan in seeded_fans():
+        assert validate_fan(fan).complete
+        assert picard_group(fan).invariant_factors == (), fan.rays
 
 
 def test_picard_signature_is_field_free():

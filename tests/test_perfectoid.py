@@ -1,6 +1,7 @@
 """Bundle arithmetic in Pic[1/p], level series, perfectoid vanishing checks."""
 
 import importlib
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,13 +9,22 @@ from itertools import product
 
 import pytest
 from test_cohomology import blown_up_plane
+from picard_oracle import weighted
 from tower_oracle import basepoint_free_levels, embedding_failures
 
 from toricpic.cli import main
 from toricpic.cohomology import graded_piece_cohomology, support_region
-from toricpic.divisor import TDivisor, class_group, is_cartier
+from toricpic.divisor import (
+    TDivisor,
+    _cartier_divisor_lattice,
+    class_group,
+    is_cartier,
+    picard_group,
+    principal_divisor,
+)
 from toricpic.errors import HypothesisError, InputError
 from toricpic.fan import Fan
+from toricpic.lattice import matvec, solve_integer_system
 from toricpic.library import NAMED_FAN_NAMES, named_fan
 from toricpic.perfectoid import (
     STABILIZES,
@@ -186,6 +196,55 @@ def test_pic_arithmetic_keeps_cartier_representatives():
             seen["nonsmooth" if fan in nonsmooth else "smooth"] += 1
             seen["kept level"] += fan in nonsmooth and l.level > 0
     assert seen["smooth"] == 32 and seen["nonsmooth"] == 24 and seen["kept level"] >= 5, seen
+
+
+def in_p_multiples(pres, g, p):
+    """Whether g lies in p·G, G = Z^f + sum Z/d_i; p·Z/d is gcd(p, d)·Z/d."""
+    return all(x % p == 0 for x in g.free) and all(
+        t % math.gcd(p, d) == 0 for t, d in zip(g.torsion, pres.invariant_factors)
+    )
+
+
+def test_normal_form_divides_in_pic():
+    """The bundle (D)^(1/p^k) has normal form (R, level) with
+    p^(k - level)·[R] = [D] in Pic(X) and [R] not in p·Pic(X) when
+    level > 0.  Classes are read as CDiv_T(X)/M: B-coordinates in the
+    Cartier lattice, projected through picard_group."""
+    rng = random.Random(89)
+    smooth = [P2, P1xP1, named_fan("F1"), named_fan("P3"), blown_up_plane(6, rng)]
+    singular = [named_fan("P112"), weighted((1, 2, 3)), weighted((1, 3, 5)), weighted((1, 1, 2, 3))]
+    seen = Counter()
+    for fan in smooth + singular:
+        pic = picard_group(fan)
+        columns = tuple(zip(*_cartier_divisor_lattice(fan)))
+
+        def pic_class(d):
+            return pic.project(solve_integer_system(columns, d.coeffs))
+
+        for _ in range(10):
+            p, k = rng.choice((2, 3)), rng.randint(0, 3)
+            d = TDivisor(matvec(columns, [rng.randint(-2, 2) for _ in columns[0]]))
+            m = tuple(rng.randint(-2, 2) for _ in range(fan.rank))
+            d = p ** rng.choice((0, 0, 1, 2)) * d + principal_divisor(fan, m)
+            bundle = from_divisor(fan, d, p, k, assume_trivialization=True)
+            r = pic_class(bundle.representative)
+            assert pic.scale(p ** (k - bundle.level), r) == pic_class(d), (fan.rays, d, p, k)
+            if bundle.level:
+                assert not in_p_multiples(pic, r, p), (fan.rays, d, p, k)
+            seen["kept" if bundle.level == k else "divided", fan in smooth] += k > 0
+    assert min(seen[kind, on_smooth] for kind in ("kept", "divided") for on_smooth in (True, False)) >= 5, seen
+
+
+def test_tower_arithmetic_builds_the_cartier_lattice_once():
+    # One Cartier lattice per fan, shared by _picard and every division.
+    lattice = importlib.import_module("toricpic.divisor")._cartier_divisor_lattice
+    fan = Fan(2, [(2, 1), (1, 1), (-3, -2)], [(0, 1), (1, 2), (2, 0)])  # an image of P2
+    misses = lattice.cache_info().misses
+    l = from_divisor(fan, (0, 0, 4), 2, 3)
+    chain = formal_root(tensor(l, from_divisor(fan, (0, 2, 0), 2, 1)))
+    assert formal_root(frobenius_pullback(chain)) == chain
+    assert perfectoid_pic(fan, 2).describe() == "Z[1/2]"
+    assert lattice.cache_info().misses == misses + 1
 
 
 def test_frobenius_distributes_over_tensor():

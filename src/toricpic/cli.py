@@ -1,7 +1,9 @@
 """Command-line frontend.
 
 One job per invocation: parse a fan (from a file or the named library),
-dispatch to the library, and print a structured report on stdout.  The
+dispatch to the library, and print a structured report on stdout.  Each
+command is one entry of the `COMMANDS` table: the flags it requires, in
+the order they are checked, and the handler that fills the report.  The
 results section is deterministic for identical inputs; diagnostics go to
 stderr.  Exit codes: 0 success/pass, 1 theorem-check failure, 2 input
 error.
@@ -23,21 +25,6 @@ from .fan import Fan, validate_fan
 from .library import NAMED_FAN_NAMES, named_fan
 
 SCHEMA = "toricpic-report/1"
-
-COMMANDS = (
-    "validate",
-    "classgroup",
-    "picard",
-    "cocycle",
-    "polytope",
-    "cohomology",
-    "demazure",
-    "bb",
-    "perf-pic",
-    "perf-cohomology",
-    "perf-demazure",
-    "perf-bb",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +166,7 @@ class Report:
         if self.ray_labels:
             lines.append("ray_labels:")
             for i, ray in enumerate(self.ray_labels):
-                lines.append(f"  {i}: [{', '.join(str(x) for x in ray)}]")
+                lines.append(f"  {i}: {_fmt(ray)}")
         if self.inputs:
             lines.append("inputs:")
             for key, value in self.inputs:
@@ -192,22 +179,7 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _fmt_vec(v) -> str:
-    return "[" + ", ".join(str(x) for x in v) + "]"
-
-
-def _fmt_vecs(vs) -> str:
-    return "[" + ", ".join(_fmt_vec(v) for v in vs) + "]"
-
-
-def _require(job: JobSpec, **fields):
-    for name, value in fields.items():
-        if value is None:
-            raise InputError(f"command {job.command!r} requires --{name}")
-
-
 def _bundle(fan, job: JobSpec):
-    _require(job, divisor=job.divisor, p=job.p)
     return perf.from_divisor(
         fan, job.divisor, job.p, job.level, assume_trivialization=job.assume_trivialization
     )
@@ -220,7 +192,7 @@ def run(job: JobSpec) -> Report:
     started = time.perf_counter()
     try:
         _run(job, report)
-    except (FanParseError, InputError) as exc:
+    except InputError as exc:
         report.status = "input-error"
         report.exit_code = 2
         report.diagnostics.append(str(exc))
@@ -238,7 +210,7 @@ def run(job: JobSpec) -> Report:
 
 def _echo_inputs(job: JobSpec, report: Report):
     if job.divisor is not None:
-        report.inputs.append(("divisor", _fmt_vec(job.divisor)))
+        report.inputs.append(("divisor", _fmt(job.divisor)))
     if job.p is not None:
         report.inputs.append(("p", job.p))
     if job.command.startswith("perf-") and job.command != "perf-pic":
@@ -256,6 +228,7 @@ def _echo_inputs(job: JobSpec, report: Report):
 
 
 def _fmt(value) -> str:
+    """Dicts as {k: v}, sequences as [a, b]; ints and Fractions by str."""
     if isinstance(value, dict):
         return "{" + ", ".join(f"{k}: {_fmt(v)}" for k, v in sorted(value.items())) + "}"
     if isinstance(value, (tuple, list)):
@@ -272,124 +245,118 @@ def _verdict_exit(report: Report, verdict) -> None:
         report.results.append((key, _fmt(verdict.details[key])))
 
 
+def _validate(fan, job: JobSpec, report: Report) -> None:
+    fr = validate_fan(fan)
+    report.results.append(("valid", str(fr.valid).lower()))
+    report.results.append(("smooth", str(fr.smooth).lower()))
+    report.results.append(("complete", str(fr.complete).lower()))
+    report.diagnostics.extend(fr.diagnostics)
+    if not fr.valid:
+        report.status = "input-error"
+        report.exit_code = 2
+
+
+def _group(report: Report, key: str, pres) -> None:
+    report.results.append((key, pres.describe()))
+    report.results.append(("free_rank", pres.free_rank))
+    report.results.append(("invariant_factors", _fmt(pres.invariant_factors)))
+
+
+def _picard(fan, job: JobSpec, report: Report) -> None:
+    _group(report, "picard_group", dv.picard_group(fan))
+    index = dv.picard_embedding(fan).index
+    report.results.append(("index_in_class_group", index if index is not None else "infinite"))
+
+
+def _cocycle(fan, job: JobSpec, report: Report) -> None:
+    witnesses = dv.cartier_witnesses(fan, job.divisor)
+    if witnesses is None:
+        raise InputError("divisor is not Cartier; no cocycle exists")
+    report.results.append(("witnesses", _fmt(witnesses)))
+    for (i, j), m in dv._cocycle_from_witnesses(fan, witnesses).entries:
+        report.results.append((f"m_{i}_{j}", _fmt(m)))
+
+
+def _polytope(fan, job: JobSpec, report: Report) -> None:
+    poly = dv.divisor_polytope(fan, job.divisor)
+    report.results.append(("dim", poly.dim))
+    report.results.append(("vertices", _fmt(poly.vertices)))
+    report.results.append(("lattice_points", len(dv.lattice_points(poly))))
+    report.results.append(("interior_points", len(dv.lattice_points(poly, interior_only=True))))
+
+
+def _cohomology(fan, job: JobSpec, report: Report) -> None:
+    table = cohomology(fan, job.divisor, want_graded=job.graded, check_prime=job.modp_check)
+    for i in range(fan.rank + 1):
+        report.results.append((f"h^{i}", table.dims[i]))
+    if job.graded:
+        for i in range(fan.rank + 1):
+            entries = ", ".join(f"{_fmt(m)}x{mult}" for m, mult in table.graded[i])
+            report.results.append((f"graded_h^{i}", "[" + entries + "]"))
+    if job.modp_check is not None:
+        report.results.append((f"modp_check_{job.modp_check}", "agree"))
+
+
+def _perf_pic(fan, job: JobSpec, report: Report) -> None:
+    desc = perf.perfectoid_pic(fan, job.p, assume_trivialization=job.assume_trivialization)
+    report.results.append(("perfectoid_picard", desc.describe()))
+    report.results.append(("base_free_rank", desc.base_free_rank))
+    report.results.append(("surviving_torsion", _fmt(desc.surviving_torsion)))
+
+
+def _perf_cohomology(fan, job: JobSpec, report: Report) -> None:
+    bundle = _bundle(fan, job)
+    series = perf.cohomology_series(
+        bundle, job.degree, job.nmax, assume_trivialization=job.assume_trivialization
+    )
+    report.results.append(("normalized_level", bundle.level))
+    report.results.append(("dims", _fmt(series.dims)))
+    report.results.append(("verdict", series.verdict))
+    if job.graded:
+        for n, basis in enumerate(series.bases):
+            report.results.append((f"basis_level_{n}", _fmt(basis)))
+
+
+def _tower_verdict(check, fan, job: JobSpec, report: Report) -> None:
+    bundle = _bundle(fan, job)
+    _verdict_exit(report, check(bundle, job.nmax, assume_trivialization=job.assume_trivialization))
+
+
+# Each command: its required flags, in the order they are checked, and its
+# handler.  Handlers look library functions up when they run, so that
+# rebinding a module attribute (as a profiler's wrappers do) reaches them.
+COMMANDS = {
+    "validate": ((), _validate),
+    "classgroup": ((), lambda fan, job, report: _group(
+        report, "class_group", dv.class_group(fan).presentation)),
+    "picard": ((), _picard),
+    "cocycle": (("divisor",), _cocycle),
+    "polytope": (("divisor",), _polytope),
+    "cohomology": (("divisor",), _cohomology),
+    "demazure": (("divisor",), lambda fan, job, report: _verdict_exit(
+        report, demazure_vanishing_check(fan, job.divisor))),
+    "bb": (("divisor",), lambda fan, job, report: _verdict_exit(
+        report, batyrev_borisov_check(fan, job.divisor))),
+    "perf-pic": (("p",), _perf_pic),
+    "perf-cohomology": (("degree", "nmax", "divisor", "p"), _perf_cohomology),
+    "perf-demazure": (("nmax", "divisor", "p"), lambda fan, job, report: _tower_verdict(
+        perf.perfectoid_demazure, fan, job, report)),
+    "perf-bb": (("nmax", "divisor", "p"), lambda fan, job, report: _tower_verdict(
+        perf.perfectoid_batyrev_borisov, fan, job, report)),
+}
+
+
 def _run(job: JobSpec, report: Report) -> None:
     fan = load_fan(job.fan_source)
     report.ray_labels = fan.rays
     _echo_inputs(job, report)
-
-    if job.command == "validate":
-        fr = validate_fan(fan)
-        report.results.append(("valid", str(fr.valid).lower()))
-        report.results.append(("smooth", str(fr.smooth).lower()))
-        report.results.append(("complete", str(fr.complete).lower()))
-        report.diagnostics.extend(fr.diagnostics)
-        if not fr.valid:
-            report.status = "input-error"
-            report.exit_code = 2
-        return
-
-    if job.command == "classgroup":
-        pres = dv.class_group(fan).presentation
-        report.results.append(("class_group", pres.describe()))
-        report.results.append(("free_rank", pres.free_rank))
-        report.results.append(("invariant_factors", _fmt_vec(pres.invariant_factors)))
-        return
-
-    if job.command == "picard":
-        pres = dv.picard_group(fan)
-        emb = dv.picard_embedding(fan)
-        report.results.append(("picard_group", pres.describe()))
-        report.results.append(("free_rank", pres.free_rank))
-        report.results.append(("invariant_factors", _fmt_vec(pres.invariant_factors)))
-        report.results.append(
-            ("index_in_class_group", emb.index if emb.index is not None else "infinite")
-        )
-        return
-
-    if job.command == "cocycle":
-        _require(job, divisor=job.divisor)
-        witnesses = dv.cartier_witnesses(fan, job.divisor)
-        if witnesses is None:
-            raise InputError("divisor is not Cartier; no cocycle exists")
-        alpha = dv._cocycle_from_witnesses(fan, witnesses)
-        report.results.append(("witnesses", _fmt_vecs(witnesses)))
-        for (i, j), m in alpha.entries:
-            report.results.append((f"m_{i}_{j}", _fmt_vec(m)))
-        return
-
-    if job.command == "polytope":
-        _require(job, divisor=job.divisor)
-        poly = dv.divisor_polytope(fan, job.divisor)
-        report.results.append(("dim", poly.dim))
-        report.results.append(
-            ("vertices", "[" + ", ".join(_fmt_vec(v) for v in poly.vertices) + "]")
-        )
-        pts = dv.lattice_points(poly)
-        interior = dv.lattice_points(poly, interior_only=True)
-        report.results.append(("lattice_points", len(pts)))
-        report.results.append(("interior_points", len(interior)))
-        return
-
-    if job.command == "cohomology":
-        _require(job, divisor=job.divisor)
-        table = cohomology(
-            fan, job.divisor, want_graded=job.graded, check_prime=job.modp_check
-        )
-        for i in range(fan.rank + 1):
-            report.results.append((f"h^{i}", table.dims[i]))
-        if job.graded:
-            for i in range(fan.rank + 1):
-                entries = ", ".join(f"{_fmt_vec(m)}x{mult}" for m, mult in table.graded[i])
-                report.results.append((f"graded_h^{i}", "[" + entries + "]"))
-        if job.modp_check is not None:
-            report.results.append((f"modp_check_{job.modp_check}", "agree"))
-        return
-
-    if job.command == "demazure":
-        _require(job, divisor=job.divisor)
-        _verdict_exit(report, demazure_vanishing_check(fan, job.divisor))
-        return
-
-    if job.command == "bb":
-        _require(job, divisor=job.divisor)
-        _verdict_exit(report, batyrev_borisov_check(fan, job.divisor))
-        return
-
-    if job.command == "perf-pic":
-        _require(job, p=job.p)
-        desc = perf.perfectoid_pic(fan, job.p, assume_trivialization=job.assume_trivialization)
-        report.results.append(("perfectoid_picard", desc.describe()))
-        report.results.append(("base_free_rank", desc.base_free_rank))
-        report.results.append(("surviving_torsion", _fmt_vec(desc.surviving_torsion)))
-        return
-
-    if job.command == "perf-cohomology":
-        _require(job, degree=job.degree, nmax=job.nmax)
-        bundle = _bundle(fan, job)
-        series = perf.cohomology_series(
-            bundle, job.degree, job.nmax, assume_trivialization=job.assume_trivialization
-        )
-        report.results.append(("normalized_level", bundle.level))
-        report.results.append(("dims", _fmt_vec(series.dims)))
-        report.results.append(("verdict", series.verdict))
-        if job.graded:
-            for n, basis in enumerate(series.bases):
-                report.results.append((f"basis_level_{n}", _fmt_vecs(basis)))
-        return
-
-    if job.command in ("perf-demazure", "perf-bb"):
-        _require(job, nmax=job.nmax)
-        check = (
-            perf.perfectoid_demazure if job.command == "perf-demazure"
-            else perf.perfectoid_batyrev_borisov
-        )
-        bundle = _bundle(fan, job)
-        _verdict_exit(
-            report, check(bundle, job.nmax, assume_trivialization=job.assume_trivialization)
-        )
-        return
-
-    raise InputError(f"unknown command {job.command!r}")  # pragma: no cover
+    if job.command not in COMMANDS:
+        raise InputError(f"unknown command {job.command!r}")
+    required, handler = COMMANDS[job.command]
+    for flag in required:
+        if getattr(job, flag) is None:
+            raise InputError(f"command {job.command!r} requires --{flag}")
+    handler(fan, job, report)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +377,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument(
             "--fan",
+            dest="fan_source",
+            metavar="FAN",
             required=True,
             help=f"fan document path, or named:<name> with name in {{{', '.join(NAMED_FAN_NAMES)}}}",
         )
@@ -447,18 +416,7 @@ def parse_job(argv) -> JobSpec:
             divisor = tuple(int(tok.strip()) for tok in ns.divisor.split(","))
         except ValueError:
             raise InputError(f"bad --divisor value {ns.divisor!r}: expected integers") from None
-    return JobSpec(
-        command=ns.command,
-        fan_source=ns.fan,
-        divisor=divisor,
-        p=ns.p,
-        level=ns.level,
-        degree=ns.degree,
-        nmax=ns.nmax,
-        graded=ns.graded,
-        assume_trivialization=ns.assume_trivialization,
-        modp_check=ns.modp_check,
-    )
+    return JobSpec(**{**vars(ns), "divisor": divisor})
 
 
 def main(argv=None) -> int:

@@ -10,10 +10,10 @@ lists of one cone (Ziegler, Lectures on Polytopes, 1.5 and 2.2): the
 facets of a hull are those of the cone over the points lifted to height 1
 (homogenization), and the extreme rays of a pointed cone are the facet
 normals of its dual, which the inequality and equation normals generate.
-The predicates that validate a fan need no conversion: membership tries
-only bases of the generator span, and strong convexity and the
-common-face test of two cones are sign conditions (Gordan's alternative)
-decided on the circuits of a few vectors.  Everything is deterministic:
+The predicates that validate a fan need no conversion: strong convexity,
+membership in a pointed cone and the common-face test of two cones are
+all sign conditions (Gordan's alternative), decided by one test on the
+circuits of a few vectors.  Everything is deterministic:
 outputs are sorted tuples of primitive integer vectors.
 """
 
@@ -28,7 +28,6 @@ from .lattice import (
     dot,
     rational_kernel,
     rational_rank,
-    rational_solve,
     scale_to_integer,
 )
 
@@ -83,34 +82,15 @@ def _positively_dependent(vecs) -> bool:
 def cone_contains(gens, x) -> bool:
     """Exact membership x in cone(gens) = {sum lambda_i g_i : lambda_i >= 0}.
 
-    Caratheodory: a member is a nonnegative combination of linearly
-    independent generators, and those extend to a basis of span(gens)
-    drawn from gens, so only such bases are tried, one rational solve
-    each.  The first solve, over all generators, answers False when x lies
-    outside span(gens).  A later subset that is not a basis may still give
-    a nonnegative solution, which is then a valid certificate.
+    The cone must be pointed, as every cone `validate_fan` asks about is
+    once `is_pointed` has passed.  Then, for x != 0, x lies in cone(gens)
+    exactly when the nonzero generators and -x are positively dependent:
+    a dependence with weight 0 on -x would be a positive dependence of the
+    generators alone, which pointedness rules out.
     """
     if not any(x):
         return True
-    gens = [tuple(g) for g in gens]
-    if not gens:
-        return False
-    n = len(gens[0])
-
-    def solve(subset):
-        return rational_solve([[g[i] for g in subset] for i in range(n)], x)
-
-    coeffs = solve(gens)
-    if coeffs is None:
-        return False
-    if all(c >= 0 for c in coeffs):
-        return True
-    d = rational_rank(gens)
-    for subset in combinations(gens, d):
-        coeffs = solve(subset)
-        if coeffs is not None and all(c >= 0 for c in coeffs):
-            return True
-    return False
+    return _positively_dependent([tuple(g) for g in gens if any(g)] + [tuple(-v for v in x)])
 
 
 def is_pointed(gens) -> bool:

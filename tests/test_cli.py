@@ -1,6 +1,10 @@
 """CLI: fan document parsing, dispatch, report format, exit codes."""
 
+import contextlib
+import importlib
+import io
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,9 +14,9 @@ import pytest
 from picard_oracle import cube_fan
 
 import toricpic
-from toricpic.cli import JobSpec, load_fan, main, parse_fan_file, run, serialize_fan
-from toricpic.errors import FanParseError
-from toricpic.library import named_fan
+from toricpic.cli import COMMANDS, JobSpec, load_fan, main, parse_fan_file, run, serialize_fan
+from toricpic.errors import ConsistencyError, FanParseError
+from toricpic.library import NAMED_FAN_NAMES, named_fan
 
 P2_DOC = """\
 # the projective plane
@@ -273,6 +277,13 @@ def test_missing_required_flag_exits_2(capsys):
     assert "requires --divisor" in err
 
 
+def test_unknown_command_exits_2():
+    report = run(JobSpec(command="nope", fan_source="named:P2"))
+    assert report.exit_code == 2
+    assert report.status == "input-error"
+    assert report.diagnostics == ["unknown command 'nope'"]
+
+
 def test_non_cartier_input_exits_2(capsys):
     code, out, err = run_main(
         ["cocycle", "--fan", "named:P112", "--divisor", "1,0,0"], capsys
@@ -333,3 +344,87 @@ def test_cli_refuses_oversized_tower_up_front(argv, count, capsys):
     assert "status: input-error" in out
     assert f"scan box has {count} lattice points, above the limit" in err
     assert elapsed < 0.5
+
+
+@pytest.mark.parametrize(
+    "argv, degree",
+    [
+        (["demazure", "--divisor", "0,0,2"], 1),
+        (["bb", "--divisor", "0,0,3"], 0),
+        (["perf-demazure", "--divisor", "0,0,1", "--p", "2", "--nmax", "1"], 1),
+        (["perf-bb", "--divisor", "0,0,3", "--p", "2", "--nmax", "1"], 0),
+    ],
+)
+def test_failed_theorem_check_exits_1(argv, degree, monkeypatch, capsys):
+    # A corrupted engine moves every piece's dimensions up one degree, h^rank
+    # wrapping round to h^0, so each vanishing theorem sees a wrong degree.
+    engine = importlib.import_module("toricpic.cohomology")
+    honest = engine._pattern_dims
+    monkeypatch.setattr(engine, "_pattern_dims", lambda *args: (lambda d: d[-1:] + d[:-1])(honest(*args)))
+    code, out, _ = run_main([argv[0], "--fan", "named:P2", *argv[1:]], capsys)
+    assert code == 1
+    assert "  status: fail\n" in out
+    assert f"  offending_degree: {degree}\n" in out
+    assert out.endswith("status: check-failed\ntiming_ms: " + out.rsplit("timing_ms: ", 1)[1])
+
+
+def test_modp_disagreement_exits_1(monkeypatch, capsys):
+    # A rank over GF(p) one too large must surface as a failed check.
+    engine = importlib.import_module("toricpic.cohomology")
+    honest = engine.rank_mod_p
+    monkeypatch.setattr(engine, "rank_mod_p", lambda rows, p: honest(rows, p) + 1)
+    with pytest.raises(ConsistencyError):
+        engine.cohomology(named_fan("P2"), (0, 0, 1), check_prime=5)
+    code, out, err = run_main(
+        ["cohomology", "--fan", "named:P2", "--divisor", "0,0,1", "--modp-check", "5"], capsys
+    )
+    assert code == 1
+    assert "status: check-failed" in out
+    assert "graded ranks differ between Q and GF(5)" in err
+
+
+def _random_fan_document(rng) -> str:
+    n = rng.randint(1, 3)
+    rays = [[rng.randint(-2, 2) for _ in range(n + (rng.random() < 0.05))] for _ in range(rng.randint(1, n + 3))]
+    cones = [rng.sample(range(len(rays) + 1), rng.randint(1, min(n, len(rays)) + 1)) for _ in range(rng.randint(1, 5))]
+    lines = [f"rank: {n}", "rays:", *map(str, rays), "max_cones:", *map(str, cones)]
+    if rng.random() < 0.1:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["[1, x]", "rank:", "spam: 1", "[]", "rays: [1]"]))
+    return "\n".join(lines) + "\n"
+
+
+def _random_argv(rng, fan_path) -> list[str]:
+    command = rng.choice(list(COMMANDS))
+    fan = rng.choice([fan_path, f"named:{rng.choice(NAMED_FAN_NAMES)}", f"named:{rng.choice(NAMED_FAN_NAMES)}"])
+    argv = [command, "--fan", fan]
+    if rng.random() < 0.8:
+        length = rng.choice([2, 3, 3, 3, 4, 4])
+        argv += ["--divisor", ",".join(str(rng.randint(-2, 2)) for _ in range(length))]
+    for flag, values in (
+        ("--p", (-1, 0, 1, 2, 2, 3, 4)),
+        ("--level", (-1, 0, 1, 2)),
+        ("--degree", (-1, 0, 1, 2, 4)),
+        ("--nmax", (-1, 0, 1, 2)),
+        ("--modp-check", (0, 2, 3, 4)),
+    ):
+        if rng.random() < (0.2 if flag == "--modp-check" else 0.7):
+            argv += [flag, str(rng.choice(values))]
+    argv += [flag for flag in ("--graded", "--assume-trivialization") if rng.random() < 0.3]
+    return argv
+
+
+def test_fuzzed_jobs_exit_cleanly(tmp_path):
+    # Seeded argparse-valid argv over random fan documents: every job ends
+    # with an exit code, never with an exception.
+    rng = random.Random(4021)
+    codes = {0: 0, 1: 0, 2: 0}
+    sink = io.StringIO()
+    for trial in range(400):
+        path = tmp_path / f"fan{trial}.fan"
+        path.write_text(_random_fan_document(rng), encoding="utf-8")
+        argv = _random_argv(rng, str(path))
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main(argv)
+        assert code in codes, argv
+        codes[code] += 1
+    assert codes[0] >= 80 and codes[2] >= 80, codes

@@ -322,23 +322,39 @@ def test_common_face_predicate_matches_polyhedral_oracle():
 
 
 def test_cone_membership_and_pointedness_match_oracles():
-    # Bases-only membership against every independent subset; pointedness
-    # against "-g in cone(G)".  The cones include lines, zero generators and
+    # Pointedness against "-g in cone(G)" on every cone, lines included;
+    # membership (a Gordan test, so defined for pointed cones only) against
+    # every independent subset.  Half the cones are made pointed by
+    # orienting the generators along a random form, with redundant positive
+    # combinations added, and half are random, often with a generator's
+    # negation added.  The cones include zero generators and
     # lower-dimensional spans, and the points include some outside the span.
     rng = random.Random(7130)
-    kinds = ("line", "pointed", "zero_generator", "inside", "outside_span", "outside_in_span")
+    kinds = ("line", "pointed", "zero_generator", "redundant", "inside", "outside_span", "outside_in_span")
     seen = dict.fromkeys(kinds, 0)
-    for trial in range(500):
+    for trial in range(440):
         n = 1 + trial % 4
         basis = [_random_vector(rng, n, 2) for _ in range(rng.randint(1, n))]
         gens = []
         for _ in range(rng.randint(0, n + 3)):
             coeffs = [rng.randint(-2, 2) for _ in basis]
             gens.append(tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(n)))
+        if trial % 2:
+            form = _random_vector(rng, n, 3)
+            gens = [g if dot(form, g) >= 0 else tuple(-x for x in g) for g in gens if not any(g) or dot(form, g)]
+            nonzero = [g for g in gens if any(g)]
+            if len(nonzero) > 1 and rng.random() < 0.75:
+                a, b = rng.sample(nonzero, 2)
+                gens.append(primitive(tuple(x + rng.randint(1, 2) * y for x, y in zip(a, b))))
+                seen["redundant"] += 1
+        elif any(map(any, gens)) and rng.random() < 0.5:
+            gens.append(tuple(-x for x in rng.choice([g for g in gens if any(g)])))
         pointed = is_pointed(gens)
         assert pointed == (not oracle.has_line(gens)), gens
         seen["pointed" if pointed else "line"] += 1
         seen["zero_generator"] += any(not any(g) for g in gens)
+        if not pointed:
+            continue
         points = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(4)]
         for _ in range(4):
             weights = [rng.randint(-1, 3) for _ in gens]

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from operator import mul
@@ -51,9 +50,7 @@ from .polyhedra import CACHE_SIZE, hull_facets
 
 
 def require_cohomology_fan(fan: Fan) -> None:
-    report = validate_fan(fan)
-    if not report.valid:
-        raise InputError(f"fan is not valid: {report.diagnostics}")
+    report = validate_fan(fan).require_valid()
     if not report.complete:
         raise HypothesisError("cohomology requires a complete fan")
     for c in fan.max_cones:
@@ -172,8 +169,7 @@ def support_region(fan: Fan, divisor) -> SupportRegion:
     witnesses = cartier_witnesses(fan, d)
     if witnesses is None:
         raise HypothesisError("support region needs a Cartier divisor")
-    points = [tuple(Fraction(x) for x in w) for w in witnesses]
-    points.extend(divisor_polytope(fan, d).vertices)
+    points = [*witnesses, *divisor_polytope(fan, d).vertices]
     n = fan.rank
     facets, eqs = hull_facets(points, n)
     ineqs = []

@@ -90,9 +90,7 @@ class ClassGroup:
 def class_group(fan: Fan) -> ClassGroup:
     """Cl(X) = Z^rays / div(M), where div(m) = (<m, u_rho>)_rho is the
     matrix of rays as rows.  Requires the rays to span N_R."""
-    report = validate_fan(fan)
-    if not report.valid:
-        raise InputError(f"fan is not valid: {report.diagnostics}")
+    validate_fan(fan).require_valid()
     if rational_rank(fan.rays) != fan.rank:
         raise HypothesisError(
             "rays do not span N_R; the divisor sequence needs a torus-factor-free fan"
@@ -104,9 +102,7 @@ def cartier_witnesses(fan: Fan, divisor) -> tuple[IntVector, ...] | None:
     """Per-maximal-cone lattice points m_sigma with <m_sigma, u_rho> = -a_rho
     on the cone's rays, or None when some cone admits no integer solution."""
     d = as_divisor(fan, divisor)
-    report = validate_fan(fan)
-    if not report.valid:
-        raise InputError(f"fan is not valid: {report.diagnostics}")
+    validate_fan(fan).require_valid()
     if any(c.dim != fan.rank for c in fan.max_cones):
         raise HypothesisError("Cartier data needs full-dimensional maximal cones")
     witnesses = []
@@ -185,9 +181,7 @@ def _picard(fan: Fan):
     such coordinates.  Cl(X)/Pic(X) = Z^rays/CDiv_T(X), so the index is
     [Z^rays : CDiv_T(X)], infinite when CDiv_T(X) has lower rank.
     """
-    report = validate_fan(fan)
-    if not report.valid:
-        raise InputError(f"fan is not valid: {report.diagnostics}")
+    report = validate_fan(fan).require_valid()
     if not report.complete:
         raise HypothesisError("Picard group computation requires a complete fan")
     cl = class_group(fan)
@@ -371,15 +365,10 @@ def divisor_polytope(fan: Fan, divisor) -> DivisorPolytope:
         )
     ineqs = tuple((u, -a) for u, a in zip(fan.rays, d.coeffs))
     rows = [(*u, a) for u, a in zip(fan.rays, d.coeffs)] + [(0,) * n + (1,)]
-    verts = tuple(sorted(
-        tuple(Fraction(x, ray[n]) for x in ray[:n]) for ray in cone_extreme_rays(rows, (), n + 1)
-    ))
-    if not verts:
-        return DivisorPolytope(ineqs, (), -1)
-    v0 = verts[0]
-    dirs = [tuple(a - b for a, b in zip(v, v0)) for v in verts[1:]]
-    dim = rational_rank(dirs)
-    return DivisorPolytope(ineqs, verts, dim)
+    rays = cone_extreme_rays(rows, (), n + 1)
+    verts = tuple(sorted(tuple(Fraction(x, ray[n]) for x in ray[:n]) for ray in rays))
+    # K is the cone over P_D, one dimension up; K = {0} when P_D is empty.
+    return DivisorPolytope(ineqs, verts, rational_rank(rays) - 1)
 
 
 def lattice_points(polytope: DivisorPolytope, interior_only: bool = False) -> list[IntVector]:

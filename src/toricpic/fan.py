@@ -4,7 +4,10 @@ A fan is stored by its rays (primitive integer vectors in N) and its
 maximal cones (index sets into the ray list); faces are derived on demand.
 Validation checks geometry, not index sets: for every pair of maximal
 cones, the separation lemma decides exactly whether they meet in a common
-face, with a few small kernels per pair.
+face, with a few small kernels per pair.  Every routine that needs a
+valid fan passes one gate, `validate_fan(fan).require_valid()`.
+Completeness of a valid pure fan is read off the facet pairing alone (see
+`_completeness`).
 """
 
 from __future__ import annotations
@@ -14,15 +17,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import InputError
-from .lattice import IntVector, dot, invariant_factors, primitive
-from .polyhedra import (
-    CACHE_SIZE,
-    cone_contains,
-    cone_dim,
-    cone_hrep,
-    is_pointed,
-    meet_in_common_face,
-)
+from .lattice import IntVector, dot, invariant_factors, primitive, rational_rank
+from .polyhedra import CACHE_SIZE, cone_contains, cone_hrep, is_pointed, meet_in_common_face
 
 MAX_RANK = 6  # all algorithms are exponential in the rank; desk scale is n <= 4
 
@@ -41,6 +37,13 @@ class FanReport:
     smooth: bool
     complete: bool
     diagnostics: tuple[str, ...]
+
+    def require_valid(self) -> FanReport:
+        """The report itself; InputError naming the diagnostics when the fan
+        is not valid."""
+        if not self.valid:
+            raise InputError(f"fan is not valid: {self.diagnostics}")
+        return self
 
 
 class Fan:
@@ -88,7 +91,7 @@ class Fan:
         self.rank = rank
         self.rays = tuple(ray_list)
         self.max_cones = tuple(
-            Cone(idxs, cone_dim([ray_list[i] for i in idxs])) for idxs in cones
+            Cone(idxs, rational_rank([ray_list[i] for i in idxs])) for idxs in cones
         )
 
     def ray_vectors(self, cone: Cone) -> tuple[IntVector, ...]:
@@ -99,7 +102,7 @@ class Fan:
         for i in idxs:
             if not (0 <= i < len(self.rays)):
                 raise InputError(f"ray index {i} out of range")
-        return Cone(idxs, cone_dim([self.rays[i] for i in idxs]))
+        return Cone(idxs, rational_rank([self.rays[i] for i in idxs]))
 
     def __eq__(self, other):
         return (
@@ -120,19 +123,16 @@ class Fan:
 def validate_fan(fan: Fan) -> FanReport:
     """Full geometric validation plus the smooth/complete predicates.
 
-    valid: rays primitive (guaranteed by construction, re-checked), every
-    maximal cone strongly convex with irredundant generators, no maximal
-    cone contained in another, every ray used, and every pairwise
-    intersection of maximal cones is a common face (decided from the
-    generators by the separation lemma, see `meet_in_common_face`, not read
-    off the index sets).  Diagnostics name the first violation of each kind.
+    valid: every maximal cone strongly convex with irredundant generators,
+    no maximal cone contained in another, every ray used, and every
+    pairwise intersection of maximal cones is a common face (decided from
+    the generators by the separation lemma, see `meet_in_common_face`, not
+    read off the index sets).  Rays need no check: `Fan.__init__`, their
+    only writer, stores them primitive.  Diagnostics name the first
+    violation of each kind.
     """
     diags = []
     n = fan.rank
-    for i, ray in enumerate(fan.rays):
-        if primitive(ray) != ray:
-            diags.append(f"ray {i} = {ray} is not primitive")
-            break
     used = set()
     for c in fan.max_cones:
         used.update(c.ray_indices)
@@ -194,49 +194,39 @@ def _all_cones_smooth(fan: Fan) -> bool:
 
 
 def _completeness(fan: Fan) -> tuple[bool, str | None]:
-    """Facet-pairing completeness test for pure full-dimensional fans."""
+    """Facet-pairing completeness test for a valid fan.
+
+    The fan must be pure and full-dimensional, and then it is complete
+    exactly when every facet of a maximal cone lies in exactly two maximal
+    cones.  On a valid fan the maximal cones meet in common faces, so no
+    two interiors overlap.  If every facet lies in two maximal cones, an
+    uncovered open set of S^(n-1) would have a boundary point in the
+    relative interior of some facet; the facet's two cones lie on either
+    side of it and cover a neighbourhood of that point.  So the support is
+    all of N_R, and the dual graph of the maximal cones, linked across
+    shared facets, is connected.
+    """
     n = fan.rank
     for c in fan.max_cones:
         if c.dim != n:
             return False, f"maximal cone {list(c.ray_indices)} is not full-dimensional; completeness test requires a pure fan"
-    facet_incidence: dict[frozenset, list[int]] = {}
-    for ci, c in enumerate(fan.max_cones):
-        gens = fan.ray_vectors(c)
-        ineqs, _ = cone_hrep(gens, n)
+    facet_incidence: dict[frozenset, int] = {}
+    for c in fan.max_cones:
+        ineqs, _ = cone_hrep(fan.ray_vectors(c), n)
         for a in ineqs:
             key = frozenset(i for i in c.ray_indices if dot(a, fan.rays[i]) == 0)
-            facet_incidence.setdefault(key, []).append(ci)
-    if any(len(cones) != 2 for cones in facet_incidence.values()):
-        return False, None
-    # Dual graph connectivity.
-    adj: dict[int, set[int]] = {i: set() for i in range(len(fan.max_cones))}
-    for pair in facet_incidence.values():
-        adj[pair[0]].add(pair[1])
-        adj[pair[1]].add(pair[0])
-    seen = {0}
-    stack = [0]
-    while stack:
-        for j in adj[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == len(fan.max_cones), None
+            facet_incidence[key] = facet_incidence.get(key, 0) + 1
+    return all(count == 2 for count in facet_incidence.values()), None
 
 
 def is_smooth(fan: Fan) -> bool:
     """Whether every cone's generators extend to a basis of N."""
-    report = validate_fan(fan)
-    if not report.valid:
-        raise InputError(f"fan is not valid: {report.diagnostics}")
-    return report.smooth
+    return validate_fan(fan).require_valid().smooth
 
 
 def is_complete(fan: Fan) -> bool:
     """Whether the support of the fan is all of N_R (facet-pairing test)."""
-    report = validate_fan(fan)
-    if not report.valid:
-        raise InputError(f"fan is not valid: {report.diagnostics}")
-    return report.complete
+    return validate_fan(fan).require_valid().complete
 
 
 def faces(fan: Fan, cone: Cone) -> list[Cone]:
@@ -268,8 +258,6 @@ def cone_intersection(fan: Fan, c1: Cone, c2: Cone) -> Cone:
     Valid fans guarantee the intersection is spanned by the shared rays,
     so the result is just the intersection of the two index sets.
     """
-    report = validate_fan(fan)
-    if not report.valid:
-        raise InputError(f"fan is not valid: {report.diagnostics}")
+    validate_fan(fan).require_valid()
     shared = tuple(sorted(set(c1.ray_indices) & set(c2.ray_indices)))
     return fan.cone_of(shared)

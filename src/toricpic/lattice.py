@@ -8,12 +8,12 @@ with unimodular transforms, integer kernels and cokernels, and integer
 linear system solving with a deterministic (Hermite-based) particular
 solution.  All row elimination over a field goes through one
 fraction-free Gauss-Jordan routine, `rref`, over Q or GF(p): ranks,
-rational kernels and solutions, and determinants read its output.  All
-lattice-point enumeration goes through one integer box scanner,
-`_scan_box`: for each prefix of the first n-1 coordinates it reads the
-exact interval of the last coordinate off the integer rows and emits it
-whole, so no point is tested.  It refuses a box of more than `SCAN_LIMIT`
-points, counted over the whole box.
+rational kernels (bases of primitive integer vectors) and solutions, and
+determinants read its output.  All lattice-point enumeration goes through
+one integer box scanner, `_scan_box`: for each prefix of the first n-1
+coordinates it reads the exact interval of the last coordinate off the
+integer rows and emits it whole, so no point is tested.  It refuses a box
+of more than `SCAN_LIMIT` points, counted over the whole box.
 """
 
 from __future__ import annotations
@@ -568,21 +568,27 @@ def rank_mod_p(rows, p: int) -> int:
     return len(rref(rows, p)[1])
 
 
-def rational_kernel(rows) -> list[tuple[Fraction, ...]]:
-    """Basis of the rational kernel {x : A·x = 0}, one vector per free column."""
+def rational_kernel(rows) -> list[IntVector]:
+    """Basis of the rational kernel {x : A·x = 0}, one vector per free column.
+
+    Each basis vector is primitive and integer, positive in its own free
+    column and 0 in the others: with m = d·RREF, the vector that is 1 in
+    free column j and -m[r][j]/d in pivot column r, times |d|.
+    """
     if not rows:
         return []
     m, pivots, d, _ = rref(rows)
     ncols = len(m[0])
+    sign = 1 if d > 0 else -1
     basis = []
     for j in range(ncols):
         if j in pivots:
             continue
-        x = [Fraction(0)] * ncols
-        x[j] = Fraction(1)
+        x = [0] * ncols
+        x[j] = abs(d)
         for r, pj in enumerate(pivots):
-            x[pj] = Fraction(-m[r][j], d)
-        basis.append(tuple(x))
+            x[pj] = -sign * m[r][j]
+        basis.append(primitive(x))
     return basis
 
 

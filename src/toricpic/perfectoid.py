@@ -58,9 +58,7 @@ def _require_ints(**values) -> None:
 
 
 def _require_perfectoid_fan(fan: Fan, assume_trivialization: bool) -> None:
-    report = validate_fan(fan)
-    if not report.valid:
-        raise InputError(f"fan is not valid: {report.diagnostics}")
+    report = validate_fan(fan).require_valid()
     if not report.complete:
         raise HypothesisError("the perfectoid cover is defined for complete fans")
     if not report.smooth and not assume_trivialization:

@@ -13,8 +13,11 @@ normals of its dual, which the inequality and equation normals generate.
 The predicates that validate a fan need no conversion: strong convexity,
 membership in a pointed cone and the common-face test of two cones are
 all sign conditions (Gordan's alternative), decided by one test on the
-circuits of a few vectors.  Everything is deterministic:
-outputs are sorted tuples of primitive integer vectors.
+circuits of a few vectors.  Every kernel basis read here is one of
+primitive integer vectors (`lattice.rational_kernel`), so these routines
+compare integers only; a Fraction appears just in the right-hand sides of
+hull facets.  Everything is deterministic: outputs are sorted tuples of
+primitive integer vectors.
 """
 
 from __future__ import annotations
@@ -23,13 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .lattice import (
-    content,
-    dot,
-    rational_kernel,
-    rational_rank,
-    scale_to_integer,
-)
+from .lattice import content, dot, rational_kernel, rational_rank, scale_to_integer
 
 Vec = tuple[int, ...]
 
@@ -40,16 +37,12 @@ Vec = tuple[int, ...]
 CACHE_SIZE = 16
 
 
-def _kernel(rows, n: int) -> list[tuple[Fraction, ...]]:
-    """Rational kernel basis of the rows in Q^n; all of Q^n when there are none."""
+def _kernel(rows, n: int) -> list[Vec]:
+    """Primitive integer kernel basis of the rows in Q^n; the unit vectors
+    when there are none."""
     if not rows:
-        return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+        return [tuple(int(i == j) for j in range(n)) for i in range(n)]
     return rational_kernel(rows)
-
-
-def cone_dim(gens) -> int:
-    """Dimension of cone(gens): the rank of the generator span."""
-    return rational_rank(gens)
 
 
 def _positively_dependent(vecs) -> bool:
@@ -66,8 +59,8 @@ def _positively_dependent(vecs) -> bool:
         return True
     if not vecs:
         return False
-    # The vectors are the columns.  Each kernel basis vector has a 1 in its
-    # free column, so it is one-signed iff it is nonnegative.
+    # The vectors are the columns.  Each kernel basis vector is positive in
+    # its free column, so it is one-signed iff it is nonnegative.
     rows = list(zip(*vecs))
     kernel = rational_kernel(rows)
     if len(kernel) <= 1:
@@ -118,7 +111,7 @@ def meet_in_common_face(gens1, gens2, n: int) -> bool:
     gens1 = [tuple(g) for g in gens1]
     gens2 = [tuple(g) for g in gens2]
     shared = set(gens1) & set(gens2)
-    basis = [scale_to_integer(k) for k in _kernel(sorted(shared), n)]
+    basis = _kernel(sorted(shared), n)
     vecs = [tuple(dot(k, g) for k in basis) for g in gens1 if g not in shared]
     vecs += [tuple(-dot(k, g) for k in basis) for g in gens2 if g not in shared]
     return not _positively_dependent(vecs)
@@ -128,7 +121,7 @@ def meet_in_common_face(gens1, gens2, n: int) -> bool:
 def _cone_hrep_cached(gens: tuple[Vec, ...], n: int):
     gens = [g for g in gens if any(g)]
     # Equations: integer basis of the orthogonal complement of span(gens).
-    eqs = tuple(sorted(scale_to_integer(v) for v in _kernel(gens, n)))
+    eqs = tuple(sorted(_kernel(gens, n)))
     if not gens:
         return (), eqs
     d = rational_rank(gens)
@@ -145,8 +138,7 @@ def _cone_hrep_cached(gens: tuple[Vec, ...], n: int):
         # Candidates: kernel vectors not orthogonal to every generator.  All
         # such vectors agree on sign pattern up to a global flip, so the
         # first one decides.
-        for cand in kern:
-            a = scale_to_integer(cand)
+        for a in kern:
             vals = [dot(a, g) for g in gens]
             if not any(vals):
                 continue

@@ -11,6 +11,10 @@ answer, where the library reads all three off `polyhedra.cone_hrep` of one
 cone: extreme rays from tight rank-(n - 1) subsets of the inequalities,
 hull facets from affinely independent d-subsets of the points, and
 polytope vertices from rank-n subsets of the rows that satisfy every row.
+
+`dual_graph_completeness` is the completeness test that `fan._completeness`
+replaced: the same facet pairing, followed by a walk of the dual graph
+that the library proves redundant on valid fans.
 """
 
 from fractions import Fraction
@@ -157,3 +161,32 @@ def meet_in_common_face(gens1, gens2, n: int) -> bool:
     """Whether the polyhedral intersection of the two cones is a face of both."""
     meet = cone_intersection_rays(gens1, gens2, n)
     return is_face_of(meet, gens1, n) and is_face_of(meet, gens2, n)
+
+
+def dual_graph_completeness(fan):
+    """(complete, diagnostic) of a valid fan: pure, every facet of a maximal
+    cone in exactly two maximal cones, and the dual graph connected."""
+    n = fan.rank
+    for c in fan.max_cones:
+        if c.dim != n:
+            return False, f"maximal cone {list(c.ray_indices)} is not full-dimensional; completeness test requires a pure fan"
+    facet_incidence = {}
+    for ci, c in enumerate(fan.max_cones):
+        ineqs, _ = cone_hrep(fan.ray_vectors(c), n)
+        for a in ineqs:
+            key = frozenset(i for i in c.ray_indices if dot(a, fan.rays[i]) == 0)
+            facet_incidence.setdefault(key, []).append(ci)
+    if any(len(cones) != 2 for cones in facet_incidence.values()):
+        return False, None
+    adj = {i: set() for i in range(len(fan.max_cones))}
+    for first, second in facet_incidence.values():
+        adj[first].add(second)
+        adj[second].add(first)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for j in adj[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(fan.max_cones), None

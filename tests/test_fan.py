@@ -11,9 +11,9 @@ from test_cohomology import blown_up_plane
 
 from toricpic.divisor import divisor_polytope
 from toricpic.errors import InputError
-from toricpic.fan import Fan, cone_intersection, faces, is_complete, is_smooth, validate_fan
+from toricpic.fan import Fan, _completeness, cone_intersection, faces, is_complete, is_smooth, validate_fan
 from toricpic.lattice import dot, integer_kernel, primitive, rational_rank
-from toricpic.library import NAMED_FAN_NAMES, named_fan
+from toricpic.library import NAMED_FAN_NAMES, named_fan, projective_space
 from toricpic.polyhedra import (
     cone_contains,
     cone_extreme_rays,
@@ -417,3 +417,106 @@ def test_facet_routines_match_subset_oracles():
             assert (polytope.vertices, polytope.dim) == (verts, dim), (fan.rays, coeffs)
             kinds["empty" if dim < 0 else "lower" if dim < fan.rank else "full"] += 1
     assert min(kinds.values()) >= 10, kinds
+
+
+def _unimodular_image(fan, rng):
+    """The fan under a random GL(n, Z) map: a few signed elementary row
+    operations on the identity, then a sign flip."""
+    n = fan.rank
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    m[0] = [rng.choice((-1, 1)) * x for x in m[0]]
+    rays = [tuple(dot(row, r) for row in m) for r in fan.rays]
+    return Fan(n, rays, [c.ray_indices for c in fan.max_cones])
+
+
+def _star_subdivision(fan, rng):
+    """Stellar subdivision of a simplicial fan at the sum of the rays of a
+    random face of dimension >= 2 of a random maximal cone."""
+    cone = rng.choice(fan.max_cones).ray_indices
+    if len(cone) < 2:
+        return fan
+    face = set(rng.sample(cone, rng.randint(2, len(cone))))
+    new = len(fan.rays)
+    ray = primitive(tuple(sum(fan.rays[i][k] for i in face) for k in range(fan.rank)))
+    cones = []
+    for c in fan.max_cones:
+        if face <= set(c.ray_indices):
+            cones += [tuple(new if i == t else i for i in c.ray_indices) for t in face]
+        else:
+            cones.append(c.ray_indices)
+    return Fan(fan.rank, fan.rays + (ray,), cones)
+
+
+def _sub_fan(fan, cones):
+    """The fan on the given maximal cones, with unused rays dropped."""
+    used = sorted({i for c in cones for i in c})
+    index = {old: new for new, old in enumerate(used)}
+    return Fan(fan.rank, [fan.rays[i] for i in used], [[index[i] for i in c] for c in cones])
+
+
+def _merged_neighbours(fan, rng):
+    """In a simplicial fan, two maximal cones on rays F + {a} and F + {d}
+    replaced by the cone on F + {a, d}, or None when no pair qualifies.  A
+    pair qualifies when cone(a, d) meets the relative interior of cone(F):
+    the union is then a convex bipyramid whose facets are the old outer
+    ones, so the fan stays valid once the rank is at least 3 (in rank 2
+    the shared ray would be redundant)."""
+    n = fan.rank
+    pairs = []
+    for first, second in combinations(fan.max_cones, 2):
+        shared = set(first.ray_indices) & set(second.ray_indices)
+        if len(shared) != n - 1:
+            continue
+        ends = sorted(set(first.ray_indices) ^ set(second.ray_indices))
+        (dependence,) = integer_kernel(list(zip(*[fan.rays[i] for i in ends + sorted(shared)])))
+        signs = {x > 0 for x in dependence[2:]} | {x < 0 for x in dependence[:2]}
+        if 0 not in dependence and len(signs) == 1:
+            pairs.append((first, second))
+    if not pairs:
+        return None
+    a, b = rng.choice(pairs)
+    rest = [c.ray_indices for c in fan.max_cones if c not in (a, b)]
+    return Fan(n, fan.rays, rest + [tuple(sorted(set(a.ray_indices) | set(b.ray_indices)))])
+
+
+def test_completeness_matches_dual_graph_oracle():
+    # The facet pairing alone against the pairing plus a dual-graph walk,
+    # on fans valid by construction: GL(n, Z) images of P^n and (P^1)^n
+    # with stellar subdivisions, non-simplicial fans made by merging two
+    # neighbours, and sub-fans of both on random proper subsets of the
+    # maximal cones.  Every twentieth fan also passes through validate_fan.
+    rng = random.Random(5821)
+    kinds = Counter()
+    while kinds["complete"] + kinds["incomplete"] < 1000:
+        n = rng.choice((1, 2, 2, 3, 3, 3, 4))
+        if n == 1 or rng.random() < 0.6:
+            base = projective_space(n)
+        else:
+            rays = [tuple(s * int(i == k) for k in range(n)) for s in (1, -1) for i in range(n)]
+            base = Fan(n, rays, [[i + n * (bits >> i & 1) for i in range(n)] for bits in range(2**n)])
+        fan = _unimodular_image(base, rng)
+        for _ in range(rng.randint(0, 4 - n // 2)):
+            fan = _star_subdivision(fan, rng)
+        candidates = [fan]
+        merged = _merged_neighbours(fan, rng) if n > 2 else None
+        if merged is not None:
+            candidates.append(merged)
+        for whole in list(candidates):
+            cones = [c.ray_indices for c in whole.max_cones]
+            if len(cones) > 1:
+                candidates.append(_sub_fan(whole, rng.sample(cones, rng.randint(1, len(cones) - 1))))
+        for candidate in candidates:
+            complete, diag = _completeness(candidate)
+            assert (complete, diag) == oracle.dual_graph_completeness(candidate), candidate.rays
+            if (kinds["complete"] + kinds["incomplete"]) % 20 == 0:
+                report = validate_fan(candidate)
+                assert report.valid and report.complete == complete, report
+            kinds["complete" if complete else "incomplete"] += 1
+            kinds["non_simplicial"] += any(len(c.ray_indices) > n for c in candidate.max_cones)
+            kinds[f"rank{n}"] += 1
+    assert min(kinds[k] for k in ("complete", "incomplete", "non_simplicial")) >= 120, kinds
+    assert min(kinds[f"rank{n}"] for n in range(1, 5)) >= 50, kinds

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -271,6 +272,7 @@ def test_elimination_readers_random():
         assert len(kernel) == ncols - rank
         for x in kernel:
             assert all(sum(q * y for q, y in zip(row, x)) == 0 for row in a)
+            assert all(type(y) is int for y in x) and gcd(*x) == 1, x
         for b in (tuple(rng.randint(-4, 4) for _ in a), tuple(sum(row) for row in a)):
             x = rational_solve(a, b)
             consistent = rational_rank([list(row) + [y] for row, y in zip(a, b)]) == rank

@@ -127,7 +127,10 @@ def validate_fan(fan: Fan) -> FanReport:
     no maximal cone contained in another, every ray used, and every
     pairwise intersection of maximal cones is a common face (decided from
     the generators by the separation lemma, see `meet_in_common_face`, not
-    read off the index sets).  Rays need no check: `Fan.__init__`, their
+    read off the index sets).  Two pointed, irredundant cones that pass
+    that test meet in cone(shared rays), so one contains the other exactly
+    when its ray set lies in the other's; containment is tested only to
+    name a failed pair.  Rays need no check: `Fan.__init__`, their
     only writer, stores them primitive.  Diagnostics name the first
     violation of each kind.
     """
@@ -159,17 +162,20 @@ def validate_fan(fan: Fan) -> FanReport:
 
     if not diags:
         for a, b in combinations(fan.max_cones, 2):
+            sa, sb = set(a.ray_indices), set(b.ray_indices)
+            nested = sa <= sb or sb <= sa
             ga, gb = fan.ray_vectors(a), fan.ray_vectors(b)
-            if all(cone_contains(gb, g) for g in ga) or all(cone_contains(ga, g) for g in gb):
+            if not nested and meet_in_common_face(ga, gb, n):
+                continue
+            if nested or all(cone_contains(gb, g) for g in ga) or all(cone_contains(ga, g) for g in gb):
                 diags.append(
                     f"maximal cone {list(a.ray_indices)} and {list(b.ray_indices)}: one contains the other"
                 )
-                break
-            if not meet_in_common_face(ga, gb, n):
+            else:
                 diags.append(
                     f"intersection of cones {list(a.ray_indices)} and {list(b.ray_indices)} is not a common face"
                 )
-                break
+            break
 
     valid = not diags
     smooth = valid and _all_cones_smooth(fan)

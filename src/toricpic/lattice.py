@@ -448,9 +448,6 @@ class AbelianGroupPresentation:
         tor = tuple(t % d for t, d in zip(torsion, self.invariant_factors))
         return GroupElement(free, tor)
 
-    def zero(self) -> GroupElement:
-        return GroupElement((0,) * self.free_rank, (0,) * len(self.invariant_factors))
-
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return self.element(vec_add(a.free, b.free), vec_add(a.torsion, b.torsion))
 

@@ -3,10 +3,11 @@
 Every point of the box is tested against the rational inequalities in
 `Fraction` arithmetic, with no denominators cleared and no threshold
 rounded: a row (normal, rhs) holds at m when sum(c * x) >= rhs, or > rhs
-for a strict row.  The support-region rows are rebuilt here with their
+for a strict row.  The support-region rows and box are rebuilt here with
 rational right-hand sides from the hull of the Cartier witnesses and the
-polytope vertices, as the region is defined; `toricpic` stores them as
-integer thresholds and scans with integer sums only.
+polytope vertices, as the region was defined; the vertices lie in the
+witnesses' hull, which `toricpic` uses alone.  `toricpic` stores the rows
+as integer thresholds and scans with integer sums only.
 """
 
 import math
@@ -53,6 +54,17 @@ def rational_support_rows(fan, divisor):
         equation_rows.append((normal, value - slack))
         equation_rows.append((tuple(-c for c in normal), -value - slack))
     return facet_rows, equation_rows
+
+
+def support_box(fan, divisor):
+    """The integer box around the Cartier witnesses and the polytope
+    vertices, dilated by one in each coordinate."""
+    d = as_divisor(fan, divisor)
+    points = [*cartier_witnesses(fan, d), *divisor_polytope(fan, d).vertices]
+    return tuple(
+        (math.ceil(min(p[i] for p in points)) - 1, math.floor(max(p[i] for p in points)) + 1)
+        for i in range(fan.rank)
+    )
 
 
 def polytope_lattice_points(polytope, interior_only=False):

@@ -1,12 +1,16 @@
 """Divisors, class groups, Picard subgroup, cocycles, polytopes."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from cocycle_oracle import pairwise_class_equal
 from picard_oracle import picard_by_relations, seeded_fans
+from test_cohomology import blown_up_plane
 
-from toricpic.errors import HypothesisError
+from toricpic.errors import HypothesisError, InputError
 from toricpic.divisor import (
     MonomialCocycle,
     TDivisor,
@@ -26,7 +30,7 @@ from toricpic.divisor import (
     principal_divisor,
 )
 from toricpic.fan import Fan, validate_fan
-from toricpic.lattice import solve_integer_system
+from toricpic.lattice import integer_kernel, solve_integer_system, vec_add, vec_sub
 from toricpic.library import named_fan
 
 P2 = named_fan("P2")
@@ -253,6 +257,75 @@ def test_cocycle_coboundary_on_non_complete_fan():
     assert cocycle_class_equal(ray_fan, zero2, shifted2)
     off = MonomialCocycle(2, 2, (((0, 1), (1, 0)),))
     assert not cocycle_class_equal(ray_fan, zero2, off)
+
+
+def _chart_fans(rng):
+    """Complete fans (the seeded oracle fans and smooth surfaces), sub-fans
+    on random subsets of their maximal cones, and fans whose maximal cones
+    are random faces of their cones, the zero cone included, in a shuffled
+    order so that chart 0 is often lower-dimensional."""
+    complete = seeded_fans() + [blown_up_plane(k, rng) for k in (5, 6, 7)]
+    for fan in complete:
+        cones = [c.ray_indices for c in fan.max_cones]
+        yield fan
+        yield Fan(fan.rank, fan.rays, rng.sample(cones, rng.randint(1, len(cones))))
+        for _ in range(3):
+            faces = {tuple(rng.sample(c, rng.randint(0, len(c)))) for c in rng.sample(cones, min(len(cones), 5))}
+            yield Fan(fan.rank, fan.rays, rng.sample(sorted(faces), len(faces)))
+
+
+def _coboundary(rank, m):
+    pairs = combinations(range(len(m)), 2)
+    return MonomialCocycle(len(m), rank, tuple(((i, j), vec_sub(m[i], m[j])) for i, j in pairs))
+
+
+def _moved(alpha, k, delta):
+    """alpha with delta != 0 added to its k-th entry: no longer a cocycle
+    once there are three charts, since some triple holds that entry."""
+    entries = list(alpha.entries)
+    entries[k] = (entries[k][0], vec_add(entries[k][1], delta))
+    return MonomialCocycle(alpha.num_cones, alpha.rank, tuple(entries))
+
+
+def test_cocycle_class_matches_pairwise_oracle():
+    # Chart 0 alone against one system over every pair of charts.  beta is
+    # alpha plus the coboundary of a shift that is orthogonal to each chart
+    # (same class), or not orthogonal on chart 0 only or on random charts;
+    # a third of the pairs move one entry, of beta alone or of both.
+    rng = random.Random(2311)
+    kinds = Counter()
+    for fan in _chart_fans(rng):
+        n = fan.rank
+        orthogonal = [integer_kernel(fan.ray_vectors(c)) if c.ray_indices else
+                      tuple(tuple(int(i == j) for j in range(n)) for i in range(n)) for c in fan.max_cones]
+        for _ in range(12 if len(fan.max_cones) > 1 else 2):
+            m = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in fan.max_cones]
+            shift = [tuple(sum(rng.randint(-2, 2) * v[i] for v in basis) for i in range(n)) for basis in orthogonal]
+            kind = rng.random()
+            if kind < 0.2:
+                shift[0] = vec_add(shift[0], tuple(rng.randint(-1, 1) for _ in range(n)))
+            elif kind < 0.35:
+                shift = [vec_add(v, tuple(rng.randint(-1, 1) for _ in range(n))) if rng.random() < 0.5 else v
+                         for v in shift]
+            alpha = _coboundary(n, m)
+            beta = _coboundary(n, [vec_add(a, b) for a, b in zip(m, shift)])
+            if alpha.entries and rng.random() < 1 / 3:
+                k = rng.randrange(len(alpha.entries))
+                delta = tuple(rng.choice((-1, 1)) * int(i == rng.randrange(n)) for i in range(n))
+                beta = _moved(beta, k, delta)
+                if rng.random() < 0.5:
+                    alpha = _moved(alpha, k, delta)
+                try:
+                    check_cocycle(fan, beta)
+                except InputError as exc:
+                    kinds["not a cocycle"] += "identity" in str(exc)
+            got = cocycle_class_equal(fan, alpha, beta)
+            assert got == pairwise_class_equal(fan, alpha, beta), (fan.rays, fan.max_cones, alpha, beta)
+            kinds[got] += 1
+            kinds["chart 0 lower-dimensional"] += fan.max_cones[0].dim < n
+    assert kinds[True] + kinds[False] >= 3000, kinds
+    assert min(kinds[True], kinds[False]) >= 1000, kinds
+    assert min(kinds["not a cocycle"], kinds["chart 0 lower-dimensional"]) >= 500, kinds
 
 
 def test_pullback_power_map_identity():

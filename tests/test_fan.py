@@ -62,6 +62,26 @@ def test_nested_max_cones_invalid():
     assert any("contains the other" in d for d in report.diagnostics)
 
 
+@pytest.mark.parametrize(
+    "rank, rays, cones",
+    [
+        # A maximal cone that is a face of another: the pair passes the
+        # separation test, and only the ray sets show the nesting.
+        (2, [(1, 0), (0, 1)], [(0, 1), (0,)]),
+        (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2), (1, 2)]),
+        # The cone over a square and its diagonal: nested, but not a face,
+        # so the pair fails the separation test.
+        (3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], [(0, 1, 2, 3), (0, 2)]),
+    ],
+)
+def test_nested_ray_sets_contain_one_another(rank, rays, cones):
+    report = validate_fan(Fan(rank, rays, cones))
+    assert not report.valid
+    assert report.diagnostics == (
+        f"maximal cone {list(cones[0])} and {list(cones[1])}: one contains the other",
+    )
+
+
 def test_line_through_origin_invalid():
     fan = Fan(1, [(1,), (-1,)], [(0, 1)])
     report = validate_fan(fan)
@@ -319,6 +339,50 @@ def test_common_face_predicate_matches_polyhedral_oracle():
         pairs += 1
     assert min(outcomes.values()) >= 150, outcomes
     assert non_simplicial >= 50 and shared >= 200, (non_simplicial, shared)
+
+
+def test_separated_cones_nest_only_by_ray_sets():
+    # The lemma behind one separation test per pair in validate_fan: two
+    # pointed cones with irredundant generators that meet in a common face
+    # meet in cone(shared generators), so one lies in the other exactly when
+    # its generators are among the other's.  A third of the pairs are a
+    # pointed cone (random vectors on one side of a random form) and a
+    # random subset of its generators: a face, or a cone through its
+    # interior such as a diagonal.
+    rng = random.Random(20261020)
+    kinds = Counter()
+    while kinds["separated"] < 600:
+        n = rng.randint(2, 4)
+        if rng.random() < 1 / 3:
+            form = _random_vector(rng, n, 2)
+            vecs = [_random_vector(rng, n, 2) for _ in range(rng.randint(n, n + 3))]
+            first = _extreme_generators([v if dot(form, v) > 0 else tuple(-x for x in v) for v in vecs if dot(form, v)], n)
+            if first is None or len(first) < 2:
+                continue
+            if rng.random() < 0.5:
+                ineqs, _ = cone_hrep(first, n)
+                on = rng.sample(ineqs, rng.randint(1, len(ineqs))) if ineqs else []
+                second = [g for g in first if all(dot(a, g) == 0 for a in on)]
+            else:
+                second = rng.sample(first, rng.randint(min(2, len(first) - 1), len(first) - 1))
+            if not second:
+                continue
+            pair = (first, second) if rng.random() < 0.5 else (second, first)
+        else:
+            pair = _random_cone_pair(rng, n)
+            if pair is None:
+                continue
+        first, second = pair
+        nested = set(first) <= set(second) or set(second) <= set(first)
+        if not meet_in_common_face(first, second, n):
+            kinds["nested, not a face" if nested else "not separated"] += 1
+            continue
+        for a, b in (pair, pair[::-1]):
+            assert all(cone_contains(b, g) for g in a) == (set(a) <= set(b)), (n, first, second)
+        kinds["separated"] += 1
+        kinds["separated, nested"] += nested
+    assert min(kinds["separated, nested"], kinds["separated"] - kinds["separated, nested"]) >= 150, kinds
+    assert kinds["nested, not a face"] >= 20, kinds
 
 
 def test_cone_membership_and_pointedness_match_oracles():

@@ -1,5 +1,6 @@
 """Every command of the README `## CLI` block, run through `cli.main`, against
 a golden transcript: stdout, stderr and exit code, with `timing_ms` masked.
+The `## Library example` block is run too, and prints what its comments say.
 
 Regenerate the golden file (only for an intended output change) with
 `PYTHONPATH=src python tests/test_readme_cli.py > tests/readme_cli.golden`.
@@ -39,6 +40,21 @@ def transcript() -> str:
 def test_readme_cli_matches_golden():
     assert len(readme_commands()) >= 12
     assert transcript() == GOLDEN.read_text(encoding="utf-8")
+
+
+def readme_library_example() -> str:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library example\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_prints_its_comments():
+    code = readme_library_example()
+    expected = [line.split("#", 1)[1].strip().strip('"') for line in code.splitlines() if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == expected == ["{0: 10, 1: 0, 2: 0}", "vanishes"]
 
 
 if __name__ == "__main__":

@@ -7,16 +7,19 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import pytest
-from scan_oracle import fraction_scan, holds, polytope_lattice_points, rational_support_rows
+from picard_oracle import fan_product, star_subdivide, weighted
+from scan_oracle import fraction_scan, holds, polytope_lattice_points, rational_support_rows, support_box
+from test_cohomology import blown_up_plane
 
 import toricpic
 from toricpic.cohomology import support_region
-from toricpic.divisor import TDivisor, divisor_polytope, lattice_points
+from toricpic.divisor import TDivisor, cartier_witnesses, divisor_polytope, is_basepoint_free, lattice_points
 from toricpic.errors import InputError
 from toricpic.lattice import SCAN_LIMIT, _scan_box, require_scannable
 from toricpic.library import NAMED_FAN_NAMES, named_fan
@@ -96,31 +99,68 @@ def test_scan_keeps_product_order_and_unit_thresholds():
     assert _scan_box(((2, 1), (0, 5)), []) == []
 
 
-def test_support_region_matches_fraction_reference():
-    rng = random.Random(73)
-    lower_dimensional = 0
-    cases = 0
+def support_region_cases(rng):
+    """(label, fan, divisor) on the named complete simplicial fans, then on
+    seeded smooth surfaces with 5-7 rays and on rank-3 fans (blow-ups of P3
+    and of (P1)^3, and P(1,1,1,2)), whose random divisors are mostly not
+    nef."""
     for name in NAMED_FAN_NAMES:
         fan = named_fan(name)
         if not fan.max_cones or any(len(c.ray_indices) != fan.rank for c in fan.max_cones):
             continue
-        divisors = [TDivisor((0,) * len(fan.rays))]
-        divisors += [TDivisor(tuple(rng.randint(-3, 3) for _ in fan.rays)) for _ in range(4)]
-        for d in divisors:
-            try:
-                region = support_region(fan, d)
-            except InputError:
-                continue  # not Cartier
-            facet_rows, equation_rows = rational_support_rows(fan, d)
-            rows = facet_rows + equation_rows
-            assert region.points() == fraction_scan(region.box, rows), (name, d)
+        yield name, fan, TDivisor((0,) * len(fan.rays))
+        for _ in range(4):
+            yield name, fan, TDivisor(tuple(rng.randint(-3, 3) for _ in fan.rays))
+    p3 = named_fan("P3")
+    p1 = named_fan("P1")
+    cube = fan_product(fan_product(p1, p1), p1)
+    rank3 = [
+        star_subdivide(p3, (0, 1)),
+        star_subdivide(p3, (0, 1, 2)),
+        star_subdivide(star_subdivide(p3, (0, 1)), (2, 3)),
+        star_subdivide(cube, (0, 2)),
+        star_subdivide(cube, (0, 2, 4)),
+        weighted((1, 1, 1, 2)),
+    ]
+    for k in range(60):
+        fan = blown_up_plane(5 + k % 3, rng)
+        yield "surface", fan, TDivisor(tuple(rng.randint(-2, 3) for _ in fan.rays))
+    for k in range(60):
+        fan = rank3[k % len(rank3)]
+        yield "rank 3", fan, TDivisor(tuple(rng.randint(-1, 3) for _ in fan.rays))
+
+
+def test_support_region_matches_fraction_reference():
+    # The reference rows and box keep the polytope vertices beside the
+    # witnesses, so equal rows and boxes check that P_D lies in the
+    # witnesses' hull.  The named fans also scan the region against the
+    # rational rows, and test membership around it.
+    rng = random.Random(73)
+    kinds = Counter()
+    for label, fan, d in support_region_cases(rng):
+        try:
+            region = support_region(fan, d)
+        except InputError:
+            continue  # not Cartier
+        facet_rows, equation_rows = rational_support_rows(fan, d)
+        rows = facet_rows + equation_rows
+        assert region.inequalities == tuple((n, math.ceil(rhs)) for n, rhs in rows), (label, fan.rays, d)
+        assert region.box == support_box(fan, d), (label, fan.rays, d)
+        if label in NAMED_FAN_NAMES:
+            assert region.points() == fraction_scan(region.box, rows), (label, d)
             wide = [(lo - 2, hi + 2) for lo, hi in region.box]
             for m in product(*(range(lo, hi + 1) for lo, hi in wide)):
-                assert region.contains(m) == all(holds(n, rhs, m) for n, rhs in rows), (name, d, m)
-            assert all(type(t) is int for _, t in region.inequalities)
-            lower_dimensional += bool(equation_rows)
-            cases += 1
-    assert cases >= 30 and lower_dimensional >= 5, (cases, lower_dimensional)
+                assert region.contains(m) == all(holds(n, rhs, m) for n, rhs in rows), (label, d, m)
+        assert all(type(t) is int for _, t in region.inequalities)
+        kinds["lower-dimensional"] += bool(equation_rows)
+        kinds[label if label in ("surface", "rank 3") else "named"] += 1
+        kinds["not nef"] += not is_basepoint_free(fan, d)
+        witnesses = set(cartier_witnesses(fan, d))
+        kinds["vertex not a witness"] += any(v not in witnesses for v in divisor_polytope(fan, d).vertices)
+    assert kinds["named"] >= 30 and kinds["lower-dimensional"] >= 5, kinds
+    assert min(kinds["surface"], kinds["rank 3"]) >= 50 and kinds["not nef"] >= 60, kinds
+    assert kinds["named"] + kinds["surface"] + kinds["rank 3"] >= 150, kinds
+    assert kinds["vertex not a witness"] >= 20, kinds
 
 
 def test_lattice_points_match_fraction_reference():

@@ -306,9 +306,7 @@ def _perf_pic(fan, job: JobSpec, report: Report) -> None:
 
 def _perf_cohomology(fan, job: JobSpec, report: Report) -> None:
     bundle = _bundle(fan, job)
-    series = perf.cohomology_series(
-        bundle, job.degree, job.nmax, assume_trivialization=job.assume_trivialization
-    )
+    series = perf.cohomology_series(bundle, job.degree, job.nmax)
     report.results.append(("normalized_level", bundle.level))
     report.results.append(("dims", _fmt(series.dims)))
     report.results.append(("verdict", series.verdict))
@@ -318,8 +316,7 @@ def _perf_cohomology(fan, job: JobSpec, report: Report) -> None:
 
 
 def _tower_verdict(check, fan, job: JobSpec, report: Report) -> None:
-    bundle = _bundle(fan, job)
-    _verdict_exit(report, check(bundle, job.nmax, assume_trivialization=job.assume_trivialization))
+    _verdict_exit(report, check(_bundle(fan, job), job.nmax))
 
 
 # Each command: its required flags, in the order they are checked, and its

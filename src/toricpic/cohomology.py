@@ -29,10 +29,11 @@ from itertools import combinations
 from operator import mul
 
 from .divisor import (
+    TDivisor,
+    _holds_witnesses,
     as_divisor,
     cartier_witnesses,
     divisor_polytope,
-    is_basepoint_free,
     lattice_points,
 )
 from .errors import ConsistencyError, HypothesisError, InputError
@@ -241,14 +242,24 @@ class CheckVerdict:
         return self.status == "pass"
 
 
+def _refusal(fan: Fan, d: TDivisor) -> CheckVerdict | None:
+    """The not-applicable verdict of a classical check, or None when D is a
+    basepoint-free Cartier divisor.  The witnesses are solved once, and
+    basepoint-freeness is read off them."""
+    require_cohomology_fan(fan)
+    witnesses = cartier_witnesses(fan, d)
+    if witnesses is None:
+        return CheckVerdict("not-applicable", {"reason": "divisor is not Cartier"})
+    if not _holds_witnesses(fan, d, witnesses):
+        return CheckVerdict("not-applicable", {"reason": "divisor is not basepoint free"})
+    return None
+
+
 def demazure_vanishing_check(fan: Fan, divisor) -> CheckVerdict:
     """Basepoint-free Cartier divisors have no higher cohomology."""
     d = as_divisor(fan, divisor)
-    require_cohomology_fan(fan)
-    if cartier_witnesses(fan, d) is None:
-        return CheckVerdict("not-applicable", {"reason": "divisor is not Cartier"})
-    if not is_basepoint_free(fan, d):
-        return CheckVerdict("not-applicable", {"reason": "divisor is not basepoint free"})
+    if refused := _refusal(fan, d):
+        return refused
     table = cohomology(fan, d)
     for i in range(1, fan.rank + 1):
         if table.dims[i]:
@@ -263,11 +274,8 @@ def batyrev_borisov_check(fan: Fan, divisor) -> CheckVerdict:
     dim P_D, where a basis is indexed by -(interior lattice points of P_D).
     Both sides are computed independently and compared exactly."""
     d = as_divisor(fan, divisor)
-    require_cohomology_fan(fan)
-    if cartier_witnesses(fan, d) is None:
-        return CheckVerdict("not-applicable", {"reason": "divisor is not Cartier"})
-    if not is_basepoint_free(fan, d):
-        return CheckVerdict("not-applicable", {"reason": "divisor is not basepoint free"})
+    if refused := _refusal(fan, d):
+        return refused
     polytope = divisor_polytope(fan, d)
     interior = lattice_points(polytope, interior_only=True)
     predicted = sorted(tuple(-x for x in m) for m in interior)

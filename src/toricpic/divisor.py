@@ -329,9 +329,6 @@ class DivisorPolytope:
     vertices: tuple[QVector, ...]
     dim: int
 
-    def contains(self, m) -> bool:
-        return all(dot(normal, m) >= rhs for normal, rhs in self.inequalities)
-
 
 def divisor_polytope(fan: Fan, divisor) -> DivisorPolytope:
     """Inequality representation plus vertex enumeration of P_D.
@@ -393,8 +390,9 @@ def is_basepoint_free(fan: Fan, divisor) -> bool:
     witnesses = cartier_witnesses(fan, d)
     if witnesses is None:
         raise HypothesisError("basepoint-freeness is only defined for Cartier divisors")
-    for m in witnesses:
-        for u, a in zip(fan.rays, d.coeffs):
-            if dot(m, u) < -a:
-                return False
-    return True
+    return _holds_witnesses(fan, d, witnesses)
+
+
+def _holds_witnesses(fan: Fan, d: TDivisor, witnesses) -> bool:
+    """Whether P_D holds every Cartier witness of D: D is basepoint free."""
+    return all(dot(m, u) >= -a for m in witnesses for u, a in zip(fan.rays, d.coeffs))

@@ -3,10 +3,15 @@
 A line bundle on the perfectoid cover is modelled as a formal p^k-th root
 of a line bundle on X: a class in Pic(X) together with a level k, kept in
 a normal form where either k = 0 or the class is not divisible by p in
-Pic(X).  Its
-cohomology is the completed colimit of the levels p^n·D along m -> p·m,
-represented finitely as the exact dimensions and graded bases of levels
-0..n_max.
+Pic(X).  Pic(X) is free on a complete fan, Pic(X) = Z^r, so the normal
+form divides out p^v with v the p-adic valuation of the class's
+coordinates, at most k times.  A bundle is admitted once, by
+`from_divisor`: the fan is valid and complete, smooth unless the caller
+assumes the trivialization, and D is Cartier.  The tower functions take
+the bundle as admitted; the cohomology, basepoint-freeness and polytope
+routines they call keep their own gates.  Its cohomology is the completed
+colimit of the levels p^n·D along m -> p·m, represented finitely as the
+exact dimensions and graded bases of levels 0..n_max.
 
 The colimit rests on one scaling lemma: for t >= 1, <t·m, u> >= -t·a
 holds exactly when <m, u> >= -a.  So (t·m, t·D) has the sign pattern of
@@ -42,7 +47,7 @@ from .divisor import (
 )
 from .errors import HypothesisError, InputError
 from .fan import Fan, validate_fan
-from .lattice import GroupElement, is_prime, matvec, solve_integer_system
+from .lattice import GroupElement, content, is_prime, matvec, solve_integer_system
 
 VANISHES = "vanishes"
 STABILIZES = "stabilizes-to-basis"
@@ -73,9 +78,10 @@ class PerfectoidBundle:
     """A formal p^level-th root of the line bundle with class `base_class`.
 
     Normal form: level = 0 or base_class not divisible by p in Pic(X).
-    `representative` is a Cartier divisor with class base_class,
-    used whenever a polytope or a cohomology computation is needed.
-    Equality is on (fan, p, level, class); the representative is auxiliary.
+    `representative` is a Cartier divisor, used whenever a polytope or a
+    cohomology computation is needed, and base_class is its class in
+    Cl(X).  Equality is on (fan, p, level, class); the representative is
+    auxiliary.
     """
 
     fan: Fan
@@ -86,28 +92,30 @@ class PerfectoidBundle:
 
 
 def _normalized(fan: Fan, p: int, level: int, rep: TDivisor) -> PerfectoidBundle:
-    """The root of level `level` of the Cartier divisor `rep`, with p divided
-    out in Pic(X) while it divides.
+    """The root of level `level` of the Cartier divisor `rep`, in normal form.
 
-    One division solves p·E + div(m) = D over the integers with E in the
-    Cartier lattice, so the quotient's class lies in Pic(X) and every
-    divisor of that class is Cartier.  The representative of a divided
-    class is its deterministic class-group lift.
+    Pic(X) is free on a complete fan (Cox–Little–Schenck, Prop 4.2.5), so
+    [rep] = p^v·c with c not divisible by p, v the p-adic valuation of the
+    content of [rep]'s coordinates in Pic(X) = Z^r.  One solve in the
+    Cartier lattice B gives rep's B-coordinates, and picard_group reads the
+    class off them.  With k = min(level, v), and k = level for the class 0,
+    the bundle is the root of level `level - k` of p^(v-k)·c, represented
+    by the deterministic class-group lift of that class: every divisor of a
+    class in Pic(X) is Cartier.  Every bundle is built here, so base_class
+    is always the class of the representative.
     """
-    changed = False
-    if level > 0:
-        basis = tuple(zip(*_cartier_divisor_lattice(fan)))  # generators as columns
-        rows = [[p * x for x in row] + list(u) for row, u in zip(basis, fan.rays)]
-    while level > 0:
-        x = solve_integer_system(rows, rep.coeffs)
-        if x is None:
-            break
-        rep = TDivisor(matvec(basis, x[: len(basis[0])]))
-        level -= 1
-        changed = True
     cl = class_group(fan)
-    cls = cl.project(rep)
-    return PerfectoidBundle(fan, p, level, cls, cl.lift(cls) if changed else rep)
+    if level:
+        columns = tuple(zip(*_cartier_divisor_lattice(fan)))  # generators as columns
+        pic = picard_group(fan)
+        free = pic.project(solve_integer_system(columns, rep.coeffs)).free
+        g, k = content(free), 0  # g = 0 for the class 0, so k = level
+        while k < level and g % p ** (k + 1) == 0:
+            k += 1
+        if k:
+            root = TDivisor(matvec(columns, pic.lift(pic.element([x // p**k for x in free]))))
+            rep, level = cl.lift(cl.project(root)), level - k
+    return PerfectoidBundle(fan, p, level, cl.project(rep), rep)
 
 
 def from_divisor(fan: Fan, divisor, p: int, level: int, assume_trivialization: bool = False) -> PerfectoidBundle:
@@ -141,10 +149,7 @@ def tensor(l1: PerfectoidBundle, l2: PerfectoidBundle) -> PerfectoidBundle:
 
 
 def inverse(l: PerfectoidBundle) -> PerfectoidBundle:
-    cl = class_group(l.fan)
-    return PerfectoidBundle(
-        l.fan, l.p, l.level, cl.presentation.neg(l.base_class), -l.representative
-    )
+    return _normalized(l.fan, l.p, l.level, -l.representative)
 
 
 def trivial_bundle(fan: Fan, p: int, assume_trivialization: bool = False) -> PerfectoidBundle:
@@ -155,11 +160,8 @@ def frobenius_pullback(l: PerfectoidBundle) -> PerfectoidBundle:
     """Multiplication by p in Pic(X)[1/p]: drop a level, or multiply the
     class by p at level zero.  A group automorphism."""
     if l.level > 0:
-        return PerfectoidBundle(l.fan, l.p, l.level - 1, l.base_class, l.representative)
-    cl = class_group(l.fan)
-    return PerfectoidBundle(
-        l.fan, l.p, 0, cl.presentation.scale(l.p, l.base_class), l.p * l.representative
-    )
+        return _normalized(l.fan, l.p, l.level - 1, l.representative)
+    return _normalized(l.fan, l.p, 0, l.p * l.representative)
 
 
 def formal_root(l: PerfectoidBundle) -> PerfectoidBundle:
@@ -226,8 +228,7 @@ class LevelSeries:
     bases: tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def _require_tower(l: PerfectoidBundle, n_max: int, assume_trivialization: bool) -> None:
-    _require_perfectoid_fan(l.fan, assume_trivialization)
+def _require_tower(n_max: int) -> None:
     _require_ints(n_max=n_max)
     if n_max < 0:
         raise InputError("n_max must be non-negative")
@@ -254,10 +255,9 @@ def _series(tables, degree: int) -> LevelSeries:
     return LevelSeries(degree, dims, STABILIZES if any(dims) else VANISHES, bases)
 
 
-def cohomology_series(l: PerfectoidBundle, degree: int, n_max: int,
-                      assume_trivialization: bool = False) -> LevelSeries:
+def cohomology_series(l: PerfectoidBundle, degree: int, n_max: int) -> LevelSeries:
     """Level-wise cohomology of the bundle: dims[n] = dim H^degree(X, p^n·D)."""
-    _require_tower(l, n_max, assume_trivialization)
+    _require_tower(n_max)
     _require_ints(degree=degree)
     if not (0 <= degree <= l.fan.rank):
         raise InputError(f"cohomological degree must lie in 0..{l.fan.rank}")
@@ -272,12 +272,11 @@ def polytope_dimension(l: PerfectoidBundle) -> int:
     return divisor_polytope(l.fan, l.representative).dim
 
 
-def perfectoid_demazure(l: PerfectoidBundle, n_max: int,
-                        assume_trivialization: bool = False) -> CheckVerdict:
+def perfectoid_demazure(l: PerfectoidBundle, n_max: int) -> CheckVerdict:
     """Globally generated bundles on the cover have no higher cohomology:
     every level series in degrees 1..rank must vanish.  Basepoint-freeness
     is tested on D alone, since t·D is basepoint free exactly when D is."""
-    _require_tower(l, n_max, assume_trivialization)
+    _require_tower(n_max)
     if not is_basepoint_free(l.fan, l.representative):
         return CheckVerdict("not-applicable", {"reason": "no basepoint-free representative"})
     tables = _level_tables(l, n_max)
@@ -290,14 +289,13 @@ def perfectoid_demazure(l: PerfectoidBundle, n_max: int,
     return CheckVerdict("pass", {"series": series})
 
 
-def perfectoid_batyrev_borisov(l: PerfectoidBundle, n_max: int,
-                               assume_trivialization: bool = False) -> CheckVerdict:
+def perfectoid_batyrev_borisov(l: PerfectoidBundle, n_max: int) -> CheckVerdict:
     """Perfectoid Batyrev-Borisov: for the inverse bundle, all levels vanish
     outside degree d = dim P_D; in degree d the level-n basis is indexed by
     the interior lattice points of p^n·P_D.  Both sides are computed
     independently and compared level by level.  Returns the truncated
     p-divisible basis description."""
-    _require_tower(l, n_max, assume_trivialization)
+    _require_tower(n_max)
     fan, rep = l.fan, l.representative
     if not is_basepoint_free(fan, rep):
         return CheckVerdict("not-applicable", {"reason": "no basepoint-free representative"})

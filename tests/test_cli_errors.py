@@ -50,6 +50,10 @@ FAN_DOCUMENTS = {
     "contained.fan": "rank: 2\nrays:\n[1, 0]\n[0, 1]\nmax_cones:\n[0, 1]\n[0]\n",
     "unused.fan": "rank: 2\nrays:\n[1, 0]\n[0, 1]\n[-1, -1]\nmax_cones:\n[0, 1]\n",
     "incomplete.fan": "rank: 2\nrays:\n[1, 0]\n[0, 1]\nmax_cones:\n[0, 1]\n",
+    # The cone over the faces of [-1, 1]^3: complete, neither simplicial nor smooth.
+    "cube.fan": "rank: 3\nrays:\n[-1, -1, -1]\n[-1, -1, 1]\n[-1, 1, -1]\n[-1, 1, 1]\n"
+    "[1, -1, -1]\n[1, -1, 1]\n[1, 1, -1]\n[1, 1, 1]\nmax_cones:\n"
+    "[0, 1, 2, 3]\n[4, 5, 6, 7]\n[0, 1, 4, 5]\n[2, 3, 6, 7]\n[0, 2, 4, 6]\n[1, 3, 5, 7]\n",
 }
 
 
@@ -87,6 +91,14 @@ def commands() -> list[str]:
         "toricpic perf-cohomology --fan named:P2 --divisor 0,0,1 --p 2 --degree 0 --nmax -1",
         "toricpic perf-bb --fan named:P2 --divisor 0,0,1 --p 2 --nmax -1",
         "toricpic perf-cohomology --fan named:P2 --divisor 0,0,1 --p 2 --degree 3 --nmax 1",
+    ]
+    # A non-simplicial bundle passes the tower's entry and is refused by
+    # cohomology's own gate, in every tower command.
+    zero = "--divisor 0,0,0,0,0,0,0,0 --p 2 --nmax 1 --assume-trivialization"
+    out += [
+        f"toricpic perf-cohomology --fan cube.fan {zero} --degree 0",
+        f"toricpic perf-demazure --fan cube.fan {zero}",
+        f"toricpic perf-bb --fan cube.fan {zero}",
     ]
     return out
 

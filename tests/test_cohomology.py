@@ -304,6 +304,33 @@ def test_bb_not_applicable_for_non_bpf():
     assert verdict.status == "not-applicable"
 
 
+def test_classical_checks_solve_the_witnesses_twice(monkeypatch):
+    # The checks' gate solves the Cartier witnesses once and reads
+    # basepoint-freeness off them; support_region solves its own.
+    modules = [importlib.import_module(f"toricpic.{name}") for name in ("divisor", "cohomology")]
+    original = modules[0].cartier_witnesses
+    calls = []
+
+    def counting(fan, divisor):
+        calls.append(divisor)
+        return original(fan, divisor)
+
+    for module in modules:
+        monkeypatch.setattr(module, "cartier_witnesses", counting)
+    cases = [
+        (P1xP1, (1, 1, 1, 1), None, 2),
+        (P2, hyperplane(-2), "divisor is not basepoint free", 1),
+        (named_fan("P112"), (1, 0, 0), "divisor is not Cartier", 1),
+    ]
+    for check in (demazure_vanishing_check, batyrev_borisov_check):
+        for fan, d, reason, solves in cases:
+            calls.clear()
+            verdict = check(fan, d)
+            assert verdict.details.get("reason") == reason, (check.__name__, d)
+            assert verdict.passed == (reason is None)
+            assert len(calls) == solves, (check.__name__, d)
+
+
 def test_cohomology_on_simplicial_non_smooth_fan():
     # P(1,1,2) is simplicial but not smooth; Cartier divisors (even
     # multiples of the ray-0 divisor) are in contract.

@@ -10,7 +10,7 @@ from itertools import product
 import pytest
 from test_cohomology import blown_up_plane
 from picard_oracle import weighted
-from tower_oracle import basepoint_free_levels, embedding_failures
+from tower_oracle import basepoint_free_levels, divide_by_solving, embedding_failures
 
 from toricpic.cli import main
 from toricpic.cohomology import graded_piece_cohomology, support_region
@@ -29,6 +29,7 @@ from toricpic.library import NAMED_FAN_NAMES, named_fan
 from toricpic.perfectoid import (
     STABILIZES,
     VANISHES,
+    _normalized,
     cohomology_series,
     formal_root,
     frobenius_pullback,
@@ -233,6 +234,68 @@ def test_normal_form_divides_in_pic():
                 assert not in_p_multiples(pic, r, p), (fan.rays, d, p, k)
             seen["kept" if bundle.level == k else "divided", fan in smooth] += k > 0
     assert min(seen[kind, on_smooth] for kind in ("kept", "divided") for on_smooth in (True, False)) >= 5, seen
+
+
+def test_normal_form_matches_division_by_solving():
+    """_normalized reads the division off one solve; the oracle divides
+    one level at a time.  Level, class and representative agree, and
+    inverse and frobenius_pullback, which read the class off their new
+    representative, agree with negating and scaling the class."""
+    rng = random.Random(157)
+    triangle = [(0, 1), (1, 2), (2, 0)]
+    fans = [P2, P1xP1, named_fan("F1"), named_fan("P3"), blown_up_plane(6, rng)]
+    fans += [named_fan("P112"), weighted((1, 2, 3)), Fan(2, [(2, -1), (-1, 2), (-1, -1)], triangle)]
+    seen = Counter()
+    for fan in fans:
+        pres = class_group(fan).presentation
+        columns = tuple(zip(*_cartier_divisor_lattice(fan)))
+        for _ in range(260):
+            p, level = rng.choice((2, 3, 5)), rng.randint(0, 4)
+            e = [rng.randint(-3, 3) * (rng.random() > 0.1) for _ in columns[0]]
+            m = tuple(rng.randint(-3, 3) for _ in range(fan.rank))
+            d = p ** rng.randint(0, 4) * TDivisor(matvec(columns, e)) + principal_divisor(fan, m)
+            l = _normalized(fan, p, level, d)
+            assert (l.level, l.base_class, l.representative) == divide_by_solving(fan, p, level, d)
+            inv, frob = inverse(l), frobenius_pullback(l)
+            assert (inv.level, inv.base_class, inv.representative) == (
+                l.level, pres.neg(l.base_class), -l.representative
+            )
+            assert (frob.level, frob.base_class, frob.representative) == (
+                (l.level - 1, l.base_class, l.representative) if l.level
+                else (0, pres.scale(p, l.base_class), p * l.representative)
+            )
+            seen["cases"] += 1
+            seen["divided"] += l.level < level
+            seen["class 0"] += level > 0 and l.base_class.is_zero()
+    assert seen["cases"] >= 2000 and seen["divided"] >= 1000 and seen["class 0"] >= 20, seen
+
+
+def test_normal_form_solves_once(monkeypatch):
+    # The class's coordinates in Pic(X) decide every division at once.
+    perfectoid = importlib.import_module("toricpic.perfectoid")
+    original = perfectoid.solve_integer_system
+    calls = []
+
+    def counting(rows, b):
+        calls.append(b)
+        return original(rows, b)
+
+    monkeypatch.setattr(perfectoid, "solve_integer_system", counting)
+    p3 = named_fan("P3")
+    for level in range(5):
+        calls.clear()
+        l = _normalized(p3, 2, level, TDivisor((0, 0, 0, 8)))
+        assert (l.level, l.base_class.free) == (max(level - 3, 0), (2 ** (3 - min(level, 3)),))
+        assert len(calls) == min(level, 1)
+
+
+def test_tower_functions_take_an_admitted_bundle():
+    # from_divisor admits a bundle once; the tower functions do not re-check
+    # smoothness, so a bundle on P112 taken at the user's risk runs through.
+    l = from_divisor(named_fan("P112"), (2, 0, 0), 2, 1, assume_trivialization=True)
+    assert cohomology_series(l, 0, 1).dims == (4, 9)
+    assert perfectoid_demazure(l, 1).passed
+    assert perfectoid_batyrev_borisov(l, 1).details["level_basis_sizes"] == (0, 1)
 
 
 def test_tower_arithmetic_builds_the_cartier_lattice_once():

@@ -10,11 +10,17 @@ consequences.  This module checks them by direct enumeration:
 - the interior points of p^n·P_D map into those of p^(n+1)·P_D (the
   predicted Batyrev–Borisov bases);
 - t·D is basepoint free exactly when D is, at every level of the tower.
+
+It also keeps the tower's first normal form, `divide_by_solving`, which
+divides p out of a class one level at a time.  `toricpic.perfectoid`
+reads the same division off the p-adic valuation of the class in
+Pic(X) = Z^r, with one solve.
 """
 
 from collections import Counter
 
-from toricpic.divisor import is_basepoint_free
+from toricpic.divisor import TDivisor, _cartier_divisor_lattice, class_group, is_basepoint_free
+from toricpic.lattice import matvec, solve_integer_system
 
 
 def embedding_failures(p, bases):
@@ -38,3 +44,25 @@ def basepoint_free_levels(bundle, n_max):
         is_basepoint_free(bundle.fan, (bundle.p ** t) * bundle.representative)
         for t in range(n_max + 1)
     ]
+
+
+def divide_by_solving(fan, p, level, rep):
+    """(level, class, representative) of the root of level `level` of the
+    Cartier divisor `rep`, with p divided out in Pic(X) while it divides.
+
+    Each division solves p·E + div(m) = D over the integers with E in the
+    Cartier lattice, so the quotient's class lies in Pic(X).  A divided
+    class is represented by its deterministic class-group lift."""
+    basis = tuple(zip(*_cartier_divisor_lattice(fan)))  # generators as columns
+    rows = [[p * x for x in row] + list(u) for row, u in zip(basis, fan.rays)]
+    divided = False
+    while level > 0:
+        x = solve_integer_system(rows, rep.coeffs)
+        if x is None:
+            break
+        rep = TDivisor(matvec(basis, x[: len(basis[0])]))
+        level -= 1
+        divided = True
+    cl = class_group(fan)
+    cls = cl.project(rep)
+    return level, cls, cl.lift(cls) if divided else rep

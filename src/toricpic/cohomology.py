@@ -45,6 +45,7 @@ from .lattice import (
     is_prime,
     rank_mod_p,
     rational_rank,
+    require_int,
     require_scannable,
 )
 from .polyhedra import CACHE_SIZE, hull_facets
@@ -136,7 +137,7 @@ def graded_piece_cohomology(fan: Fan, divisor, m, check_prime=None) -> list[int]
     d = as_divisor(fan, divisor)
     require_cohomology_fan(fan)
     _require_prime(check_prime)
-    m = tuple(int(x) for x in m)
+    m = tuple(require_int(x, "degree entry") for x in m)
     if len(m) != fan.rank:
         raise InputError(f"degree has length {len(m)}, expected {fan.rank}")
     return list(_pattern_dims(fan, _sign_pattern(_sign_rows(fan, d.coeffs), m), check_prime))

@@ -26,6 +26,7 @@ from .lattice import (
     dot,
     integer_kernel,
     rational_rank,
+    require_int,
     solve_integer_system,
     vec_add,
     vec_scale,
@@ -51,14 +52,14 @@ class TDivisor:
         return TDivisor(tuple(-a for a in self.coeffs))
 
     def __rmul__(self, t: int) -> "TDivisor":
-        return TDivisor(vec_scale(int(t), self.coeffs))
+        return TDivisor(vec_scale(require_int(t, "scalar"), self.coeffs))
 
 
 def as_divisor(fan: Fan, coeffs) -> TDivisor:
     if isinstance(coeffs, TDivisor):
         d = coeffs
     else:
-        d = TDivisor(tuple(int(a) for a in coeffs))
+        d = TDivisor(tuple(require_int(a, "divisor coefficient") for a in coeffs))
     if len(d.coeffs) != len(fan.rays):
         raise InputError(
             f"divisor has {len(d.coeffs)} coefficients for a fan with {len(fan.rays)} rays"
@@ -68,7 +69,7 @@ def as_divisor(fan: Fan, coeffs) -> TDivisor:
 
 def principal_divisor(fan: Fan, m) -> TDivisor:
     """div(m): coefficient <m, u_rho> on each ray."""
-    m = tuple(int(x) for x in m)
+    m = tuple(require_int(x, "lattice point entry") for x in m)
     if len(m) != fan.rank:
         raise InputError(f"lattice point has length {len(m)}, expected {fan.rank}")
     return TDivisor(tuple(dot(m, u) for u in fan.rays))
@@ -88,9 +89,11 @@ class ClassGroup:
         return TDivisor(self.presentation.lift(elem))
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def class_group(fan: Fan) -> ClassGroup:
     """Cl(X) = Z^rays / div(M), where div(m) = (<m, u_rho>)_rho is the
-    matrix of rays as rows.  Requires the rays to span N_R."""
+    matrix of rays as rows.  Requires the rays to span N_R.  Cached per
+    fan: every bundle normal form reads it."""
     validate_fan(fan).require_valid()
     if rational_rank(fan.rays) != fan.rank:
         raise HypothesisError(
@@ -307,7 +310,7 @@ def cocycle_class_equal(fan: Fan, alpha: MonomialCocycle, beta: MonomialCocycle)
 
 def pullback_by_power_map(alpha: MonomialCocycle, t: int) -> MonomialCocycle:
     """Pullback along the t-th power map: every exponent is multiplied by t."""
-    t = int(t)
+    t = require_int(t, "power map exponent")
     if t <= 0:
         raise InputError("power map exponent must be positive")
     return alpha.scaled(t)

@@ -2,12 +2,14 @@
 
 A fan is stored by its rays (primitive integer vectors in N) and its
 maximal cones (index sets into the ray list); faces are derived on demand.
-Validation checks geometry, not index sets: for every pair of maximal
-cones, the separation lemma decides exactly whether they meet in a common
-face, with a few small kernels per pair.  Every routine that needs a
-valid fan passes one gate, `validate_fan(fan).require_valid()`.
-Completeness of a valid pure fan is read off the facet pairing alone (see
-`_completeness`).
+Validation checks geometry, not index sets: each maximal cone's facet
+list, enumerated once, decides whether it is pointed, whether a generator
+is redundant and whether another cone lies inside it; for every pair of
+maximal cones, the separation lemma decides exactly whether they meet in
+a common face, with a few small kernels per pair.  Every routine that
+needs a valid fan passes one gate, `validate_fan(fan).require_valid()`.
+Completeness of a valid pure fan is read off the same facet lists, by
+their pairing alone (see `_completeness`).
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import InputError
-from .lattice import IntVector, dot, invariant_factors, primitive, rational_rank
-from .polyhedra import CACHE_SIZE, cone_contains, cone_hrep, is_pointed, meet_in_common_face
+from .lattice import IntVector, dot, invariant_factors, primitive, rational_rank, require_int
+from .polyhedra import CACHE_SIZE, cone_hrep, meet_in_common_face
 
 MAX_RANK = 6  # all algorithms are exponential in the rank; desk scale is n <= 4
 
@@ -58,14 +60,14 @@ class Fan:
     __slots__ = ("rank", "rays", "max_cones")
 
     def __init__(self, rank: int, rays, max_cones):
-        rank = int(rank)
+        rank = require_int(rank, "rank")
         if rank < 1:
             raise InputError(f"rank must be positive, got {rank}")
         if rank > MAX_RANK:
             raise InputError(f"rank {rank} exceeds the supported limit {MAX_RANK}")
         ray_list = []
         for i, ray in enumerate(rays):
-            v = tuple(int(x) for x in ray)
+            v = tuple(require_int(x, f"ray {i} entry") for x in ray)
             if len(v) != rank:
                 raise InputError(f"ray {i} has length {len(v)}, expected {rank}")
             if not any(v):
@@ -78,7 +80,7 @@ class Fan:
         cones = []
         seen = set()
         for ci, idxs in enumerate(max_cones):
-            idxs = tuple(sorted(set(int(i) for i in idxs)))
+            idxs = tuple(sorted({require_int(i, f"cone {ci} index") for i in idxs}))
             for i in idxs:
                 if not (0 <= i < len(ray_list)):
                     raise InputError(f"cone {ci} references ray index {i}, out of range")
@@ -98,7 +100,7 @@ class Fan:
         return tuple(self.rays[i] for i in cone.ray_indices)
 
     def cone_of(self, indices) -> Cone:
-        idxs = tuple(sorted(set(int(i) for i in indices)))
+        idxs = tuple(sorted({require_int(i, "ray index") for i in indices}))
         for i in idxs:
             if not (0 <= i < len(self.rays)):
                 raise InputError(f"ray index {i} out of range")
@@ -127,12 +129,17 @@ def validate_fan(fan: Fan) -> FanReport:
     no maximal cone contained in another, every ray used, and every
     pairwise intersection of maximal cones is a common face (decided from
     the generators by the separation lemma, see `meet_in_common_face`, not
-    read off the index sets).  Two pointed, irredundant cones that pass
-    that test meet in cone(shared rays), so one contains the other exactly
-    when its ray set lies in the other's; containment is tested only to
-    name a failed pair.  Rays need no check: `Fan.__init__`, their
-    only writer, stores them primitive.  Diagnostics name the first
-    violation of each kind.
+    read off the index sets).  One H-representation (A, E) per maximal
+    cone answers the rest (Cox-Little-Schenck 1.2; Ziegler 2.1): the cone
+    is pointed iff A and E have rank n; in a pointed cone the smallest face
+    holding a generator u has dimension n - rank(E + rows of A tight on u),
+    and a primitive generator off its own extreme ray lies in the cone of
+    the others; cone(B) lies in cone(A) iff every ray of B satisfies A and
+    E.  Two pointed, irredundant cones that pass the separation test meet
+    in cone(shared rays), so one contains the other exactly when its ray
+    set lies in the other's; containment is tested only to name a failed
+    pair.  Rays need no check: `Fan.__init__`, their only writer, stores
+    them primitive.  Diagnostics name the first violation of each kind.
     """
     diags = []
     n = fan.rank
@@ -143,31 +150,27 @@ def validate_fan(fan: Fan) -> FanReport:
     if unused:
         diags.append(f"ray {unused[0]} belongs to no maximal cone")
 
+    hreps = []  # complete whenever a later step reads it
     for c in fan.max_cones:
-        gens = fan.ray_vectors(c)
-        if not is_pointed(gens):
+        ineqs, eqs = cone_hrep(fan.ray_vectors(c), n)
+        hreps.append((ineqs, eqs))
+        if rational_rank(ineqs + eqs) < n:
             diags.append(f"cone {list(c.ray_indices)} contains a line through the origin")
             break
-        redundant = next(
-            (
-                c.ray_indices[j]
-                for j in range(len(gens))
-                if cone_contains([g for t, g in enumerate(gens) if t != j], gens[j])
-            ),
-            None,
-        )
-        if redundant is not None:
-            diags.append(f"ray {redundant} is redundant in cone {list(c.ray_indices)}")
+        redundant = [i for i in c.ray_indices
+                     if rational_rank([a for a in ineqs if dot(a, fan.rays[i]) == 0] + list(eqs)) < n - 1]
+        if redundant:
+            diags.append(f"ray {redundant[0]} is redundant in cone {list(c.ray_indices)}")
             break
 
     if not diags:
-        for a, b in combinations(fan.max_cones, 2):
+        for (a, ha), (b, hb) in combinations(zip(fan.max_cones, hreps), 2):
             sa, sb = set(a.ray_indices), set(b.ray_indices)
             nested = sa <= sb or sb <= sa
             ga, gb = fan.ray_vectors(a), fan.ray_vectors(b)
             if not nested and meet_in_common_face(ga, gb, n):
                 continue
-            if nested or all(cone_contains(gb, g) for g in ga) or all(cone_contains(ga, g) for g in gb):
+            if nested or _inside(ga, hb) or _inside(gb, ha):
                 diags.append(
                     f"maximal cone {list(a.ray_indices)} and {list(b.ray_indices)}: one contains the other"
                 )
@@ -181,10 +184,16 @@ def validate_fan(fan: Fan) -> FanReport:
     smooth = valid and _all_cones_smooth(fan)
     complete = False
     if valid:
-        complete, completeness_diag = _completeness(fan)
+        complete, completeness_diag = _completeness(fan, hreps)
         if completeness_diag:
             diags.append(completeness_diag)
     return FanReport(valid, smooth, complete, tuple(diags))
+
+
+def _inside(gens, hrep) -> bool:
+    """Whether every generator satisfies the H-representation (A, E)."""
+    ineqs, eqs = hrep
+    return all(dot(a, g) >= 0 for g in gens for a in ineqs) and not any(dot(e, g) for g in gens for e in eqs)
 
 
 def _all_cones_smooth(fan: Fan) -> bool:
@@ -199,8 +208,9 @@ def _all_cones_smooth(fan: Fan) -> bool:
     return True
 
 
-def _completeness(fan: Fan) -> tuple[bool, str | None]:
-    """Facet-pairing completeness test for a valid fan.
+def _completeness(fan: Fan, hreps) -> tuple[bool, str | None]:
+    """Facet-pairing completeness test for a valid fan, given the
+    H-representation of each maximal cone in order.
 
     The fan must be pure and full-dimensional, and then it is complete
     exactly when every facet of a maximal cone lies in exactly two maximal
@@ -217,8 +227,7 @@ def _completeness(fan: Fan) -> tuple[bool, str | None]:
         if c.dim != n:
             return False, f"maximal cone {list(c.ray_indices)} is not full-dimensional; completeness test requires a pure fan"
     facet_incidence: dict[frozenset, int] = {}
-    for c in fan.max_cones:
-        ineqs, _ = cone_hrep(fan.ray_vectors(c), n)
+    for c, (ineqs, _) in zip(fan.max_cones, hreps):
         for a in ineqs:
             key = frozenset(i for i in c.ray_indices if dot(a, fan.rays[i]) == 0)
             facet_incidence[key] = facet_incidence.get(key, 0) + 1

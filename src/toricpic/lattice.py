@@ -29,6 +29,15 @@ from .errors import InputError
 IntVector = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
 
+
+def require_int(value, name: str) -> int:
+    """The value itself; InputError unless it is exactly an int: a float, a
+    string or a bool would otherwise be truncated or coerced."""
+    if type(value) is not int:
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 # Most integer points a box scan may visit.  A larger box is refused up
 # front: scanning it would run for minutes or exhaust memory, where the
 # largest box of the test suite and the benchmark has a few thousand points.

@@ -47,19 +47,10 @@ from .divisor import (
 )
 from .errors import HypothesisError, InputError
 from .fan import Fan, validate_fan
-from .lattice import GroupElement, content, is_prime, matvec, solve_integer_system
+from .lattice import GroupElement, content, is_prime, matvec, require_int, solve_integer_system
 
 VANISHES = "vanishes"
 STABILIZES = "stabilizes-to-basis"
-
-
-def _require_ints(**values) -> None:
-    """InputError unless every value is exactly an int: a float, a string
-    or a bool would otherwise be truncated or coerced into a different
-    tower."""
-    for name, value in values.items():
-        if type(value) is not int:
-            raise InputError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_perfectoid_fan(fan: Fan, assume_trivialization: bool) -> None:
@@ -120,7 +111,8 @@ def _normalized(fan: Fan, p: int, level: int, rep: TDivisor) -> PerfectoidBundle
 
 def from_divisor(fan: Fan, divisor, p: int, level: int, assume_trivialization: bool = False) -> PerfectoidBundle:
     """The bundle (class of D)^(1/p^level), normalized."""
-    _require_ints(p=p, level=level)
+    require_int(p, "p")
+    require_int(level, "level")
     if not is_prime(p):
         raise InputError(f"p must be prime, got {p}")
     if level < 0:
@@ -201,7 +193,7 @@ def strip_p_part(d: int, p: int) -> int:
 
 def perfectoid_pic(fan: Fan, p: int, assume_trivialization: bool = False) -> PerfectoidPicard:
     """Pic(cover) = Pic(X) ⊗ Z[1/p], computed from the invariant factors."""
-    _require_ints(p=p)
+    require_int(p, "p")
     if not is_prime(p):
         raise InputError(f"p must be prime, got {p}")
     _require_perfectoid_fan(fan, assume_trivialization)
@@ -229,7 +221,7 @@ class LevelSeries:
 
 
 def _require_tower(n_max: int) -> None:
-    _require_ints(n_max=n_max)
+    require_int(n_max, "n_max")
     if n_max < 0:
         raise InputError("n_max must be non-negative")
 
@@ -258,7 +250,7 @@ def _series(tables, degree: int) -> LevelSeries:
 def cohomology_series(l: PerfectoidBundle, degree: int, n_max: int) -> LevelSeries:
     """Level-wise cohomology of the bundle: dims[n] = dim H^degree(X, p^n·D)."""
     _require_tower(n_max)
-    _require_ints(degree=degree)
+    require_int(degree, "degree")
     if not (0 <= degree <= l.fan.rank):
         raise InputError(f"cohomological degree must lie in 0..{l.fan.rank}")
     return _series(_level_tables(l, n_max), degree)

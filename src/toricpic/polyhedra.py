@@ -10,14 +10,15 @@ lists of one cone (Ziegler, Lectures on Polytopes, 1.5 and 2.2): the
 facets of a hull are those of the cone over the points lifted to height 1
 (homogenization), and the extreme rays of a pointed cone are the facet
 normals of its dual, which the inequality and equation normals generate.
-The predicates that validate a fan need no conversion: strong convexity,
-membership in a pointed cone and the common-face test of two cones are
-all sign conditions (Gordan's alternative), decided by one test on the
-circuits of a few vectors.  Every kernel basis read here is one of
-primitive integer vectors (`lattice.rational_kernel`), so these routines
-compare integers only; a Fraction appears just in the right-hand sides of
-hull facets.  Everything is deterministic: outputs are sorted tuples of
-primitive integer vectors.
+The per-cone checks that validate a fan (strong convexity, irredundant
+generators, one cone inside another) read the same facet list
+(`fan.validate_fan`).  The common-face test of two cones needs no
+conversion: it is a sign condition (Gordan's alternative), decided by one
+test on the circuits of a few vectors.  Every kernel basis read here is
+one of primitive integer vectors (`lattice.rational_kernel`), so these
+routines compare integers only; a Fraction appears just in the
+right-hand sides of hull facets.  Everything is deterministic: outputs
+are sorted tuples of primitive integer vectors.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ def _kernel(rows, n: int) -> list[Vec]:
 
 
 def _positively_dependent(vecs) -> bool:
-    """Whether sum lambda_i v_i = 0 for some nonzero lambda >= 0.
+    """Whether sum lambda_i v_i = 0 for some nonzero lambda >= 0; the one
+    test behind `meet_in_common_face`.
 
     Gordan's alternative: this fails exactly when some linear form is
     positive on every vector.  A nonnegative kernel vector is a conformal
@@ -70,29 +72,6 @@ def _positively_dependent(vecs) -> bool:
         if len(kern) == 1 and min(kern[0]) >= 0:
             return True
     return False
-
-
-def cone_contains(gens, x) -> bool:
-    """Exact membership x in cone(gens) = {sum lambda_i g_i : lambda_i >= 0}.
-
-    The cone must be pointed, as every cone `validate_fan` asks about is
-    once `is_pointed` has passed.  Then, for x != 0, x lies in cone(gens)
-    exactly when the nonzero generators and -x are positively dependent:
-    a dependence with weight 0 on -x would be a positive dependence of the
-    generators alone, which pointedness rules out.
-    """
-    if not any(x):
-        return True
-    return _positively_dependent([tuple(g) for g in gens if any(g)] + [tuple(-v for v in x)])
-
-
-def is_pointed(gens) -> bool:
-    """No line through the origin: cone(gens) is strongly convex.
-
-    cone(G) contains a line iff its nonzero generators are positively
-    dependent; a linearly independent set answers after one elimination.
-    """
-    return not _positively_dependent([tuple(g) for g in gens if any(g)])
 
 
 def meet_in_common_face(gens1, gens2, n: int) -> bool:

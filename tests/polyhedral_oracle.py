@@ -3,8 +3,9 @@
 These are the brute-force routes: intersections through H-representations
 and extreme-ray enumeration, and membership through every linearly
 independent subset of the generators.  They share no logic with
-`polyhedra.meet_in_common_face`, `polyhedra.cone_contains` or
-`polyhedra.is_pointed`.
+`polyhedra.meet_in_common_face` or with the readings of one cone's facet
+list that `fan.validate_fan` makes (pointedness, redundant generators,
+one cone inside another).
 
 The subset routes below each search subsets of their own rows for the
 answer, where the library reads all three off `polyhedra.cone_hrep` of one
@@ -14,13 +15,16 @@ polytope vertices from rank-n subsets of the rows that satisfy every row.
 
 `dual_graph_completeness` is the completeness test that `fan._completeness`
 replaced: the same facet pairing, followed by a walk of the dual graph
-that the library proves redundant on valid fans.
+that the library proves redundant on valid fans.  `reference_report`
+validates a fan from these predicates and the definitions alone.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
-from toricpic.lattice import dot, rational_kernel, rational_rank, rational_solve, scale_to_integer
+from toricpic.fan import FanReport
+from toricpic.lattice import det, dot, rational_kernel, rational_rank, rational_solve, scale_to_integer
 from toricpic.polyhedra import cone_hrep
 
 
@@ -109,20 +113,22 @@ def subset_polytope_vertices(rays, coeffs):
 
 
 def caratheodory_contains(gens, x) -> bool:
-    """x in cone(gens), trying every linearly independent subset of every size."""
+    """x in cone(gens), trying every subset of rank(gens) generators.
+
+    Caratheodory: x in cone(gens) is a nonnegative combination of linearly
+    independent generators, which extend by generators to a basis of
+    span(gens); on that basis the combination is the unique solution.
+    """
     gens = [tuple(g) for g in gens]
     if all(v == 0 for v in x):
         return True
     if not gens:
         return False
     n = len(gens[0])
-    for k in range(1, rational_rank(gens) + 1):
-        for subset in combinations(gens, k):
-            if rational_rank(subset) != k:
-                continue
-            coeffs = rational_solve([[g[i] for g in subset] for i in range(n)], x)
-            if coeffs is not None and all(c >= 0 for c in coeffs):
-                return True
+    for subset in combinations(gens, rational_rank(gens)):
+        coeffs = rational_solve([[g[i] for g in subset] for i in range(n)], x)
+        if coeffs is not None and all(c >= 0 for c in coeffs):
+            return True
     return False
 
 
@@ -190,3 +196,50 @@ def dual_graph_completeness(fan):
                 seen.add(j)
                 stack.append(j)
     return len(seen) == len(fan.max_cones), None
+
+
+def is_unimodular(gens) -> bool:
+    """Whether the k generators extend to a basis of Z^n: their k x k minors
+    have gcd 1."""
+    n = len(gens[0]) if gens else 0
+    minors = [det([[g[i] for i in cols] for g in gens]) for cols in combinations(range(n), len(gens))]
+    return math.gcd(*minors) == 1
+
+
+def reference_report(fan) -> FanReport:
+    """The `FanReport` of a fan from the definitions: every ray used, every
+    maximal cone free of lines with no generator in the cone of the others,
+    no maximal cone inside another, and every pairwise intersection a face
+    of both.  Diagnostics name the first violation of each kind, in the
+    order `fan.validate_fan` checks them."""
+    n = fan.rank
+    diags = []
+    unused = sorted(set(range(len(fan.rays))) - {i for c in fan.max_cones for i in c.ray_indices})
+    if unused:
+        diags.append(f"ray {unused[0]} belongs to no maximal cone")
+    for c in fan.max_cones:
+        gens = fan.ray_vectors(c)
+        if has_line(gens):
+            diags.append(f"cone {list(c.ray_indices)} contains a line through the origin")
+            break
+        redundant = [i for t, i in enumerate(c.ray_indices) if caratheodory_contains(gens[:t] + gens[t + 1:], gens[t])]
+        if redundant:
+            diags.append(f"ray {redundant[0]} is redundant in cone {list(c.ray_indices)}")
+            break
+    if not diags:
+        for a, b in combinations(fan.max_cones, 2):
+            ga, gb = fan.ray_vectors(a), fan.ray_vectors(b)
+            if all(caratheodory_contains(gb, g) for g in ga) or all(caratheodory_contains(ga, g) for g in gb):
+                diags.append(f"maximal cone {list(a.ray_indices)} and {list(b.ray_indices)}: one contains the other")
+                break
+            if not meet_in_common_face(ga, gb, n):
+                diags.append(f"intersection of cones {list(a.ray_indices)} and {list(b.ray_indices)} is not a common face")
+                break
+    valid = not diags
+    smooth = valid and all(is_unimodular(fan.ray_vectors(c)) for c in fan.max_cones)
+    complete = False
+    if valid:
+        complete, diag = dual_graph_completeness(fan)
+        if diag:
+            diags.append(diag)
+    return FanReport(valid, smooth, complete, tuple(diags))

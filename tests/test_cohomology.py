@@ -423,7 +423,8 @@ def test_per_fan_caches_stay_bounded():
               for name in ("fan", "polyhedra", "divisor", "cohomology")}
     polyhedra = module["polyhedra"]
     caches = (module["fan"].validate_fan, polyhedra._cone_hrep_cached, module["divisor"]._picard,
-              module["divisor"]._cartier_divisor_lattice, module["cohomology"]._cones_by_size)
+              module["divisor"]._cartier_divisor_lattice, module["divisor"].class_group,
+              module["cohomology"]._cones_by_size)
     # Shears of P2: more distinct fans than any cache may hold.
     for s in range(polyhedra.CACHE_SIZE + 4):
         sheared = Fan(2, [(1, 0), (s, 1), (-1 - s, -1)], [(0, 1), (1, 2), (2, 0)])

@@ -10,6 +10,7 @@ from cocycle_oracle import pairwise_class_equal
 from picard_oracle import picard_by_relations, seeded_fans
 from test_cohomology import blown_up_plane
 
+from toricpic.cohomology import cohomology, graded_piece_cohomology
 from toricpic.errors import HypothesisError, InputError
 from toricpic.divisor import (
     MonomialCocycle,
@@ -32,6 +33,7 @@ from toricpic.divisor import (
 from toricpic.fan import Fan, validate_fan
 from toricpic.lattice import integer_kernel, solve_integer_system, vec_add, vec_sub
 from toricpic.library import named_fan
+from toricpic.perfectoid import from_divisor
 
 P2 = named_fan("P2")
 F1 = named_fan("F1")
@@ -467,6 +469,32 @@ def test_basepoint_free_scaling_agreement():
             verdict = is_basepoint_free(fan, d)
             for p in (2, 3):
                 assert is_basepoint_free(fan, p * d) == verdict
+
+
+P2_CONES = [(0, 1), (1, 2), (2, 0)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: as_divisor(P2, (0, 0, v)),
+        lambda v: cohomology(P2, (0, 0, v)),
+        lambda v: from_divisor(P2, (0, 0, v), 2, 0),
+        lambda v: v * TDivisor((1, 0, 0)),
+        lambda v: principal_divisor(P2, (v, 0)),
+        lambda v: graded_piece_cohomology(P2, (0, 0, 2), (v, 0)),
+        lambda v: Fan(2, [(v, 0), (0, 1), (-1, -1)], P2_CONES),
+        lambda v: Fan(2, P2.rays, [(v, 1), (1, 2), (2, 0)]),
+    ],
+    ids=["as_divisor", "cohomology", "from_divisor", "rmul", "principal_divisor",
+         "graded_piece_cohomology", "fan_ray", "fan_cone_index"],
+)
+def test_non_integer_input_is_refused(call):
+    # Each entry point used to truncate with int(): 2.7 read as 2, 0.9 as 0.
+    call(1)
+    for value in (2.7, 1.5, 0.9, 2.0, True, "1", Fraction(1)):
+        with pytest.raises(InputError, match="must be an integer"):
+            call(value)
 
 
 def test_as_divisor_length_check():

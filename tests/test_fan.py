@@ -11,17 +11,10 @@ from test_cohomology import blown_up_plane
 
 from toricpic.divisor import divisor_polytope
 from toricpic.errors import InputError
-from toricpic.fan import Fan, _completeness, cone_intersection, faces, is_complete, is_smooth, validate_fan
+from toricpic.fan import Fan, _completeness, _inside, cone_intersection, faces, is_complete, is_smooth, validate_fan
 from toricpic.lattice import dot, integer_kernel, primitive, rational_rank
 from toricpic.library import NAMED_FAN_NAMES, named_fan, projective_space
-from toricpic.polyhedra import (
-    cone_contains,
-    cone_extreme_rays,
-    cone_hrep,
-    hull_facets,
-    is_pointed,
-    meet_in_common_face,
-)
+from toricpic.polyhedra import cone_extreme_rays, cone_hrep, hull_facets, meet_in_common_face
 
 
 def test_p2_is_valid_smooth_complete():
@@ -378,7 +371,7 @@ def test_separated_cones_nest_only_by_ray_sets():
             kinds["nested, not a face" if nested else "not separated"] += 1
             continue
         for a, b in (pair, pair[::-1]):
-            assert all(cone_contains(b, g) for g in a) == (set(a) <= set(b)), (n, first, second)
+            assert all(oracle.caratheodory_contains(b, g) for g in a) == (set(a) <= set(b)), (n, first, second)
         kinds["separated"] += 1
         kinds["separated, nested"] += nested
     assert min(kinds["separated, nested"], kinds["separated"] - kinds["separated, nested"]) >= 150, kinds
@@ -386,13 +379,15 @@ def test_separated_cones_nest_only_by_ray_sets():
 
 
 def test_cone_membership_and_pointedness_match_oracles():
-    # Pointedness against "-g in cone(G)" on every cone, lines included;
-    # membership (a Gordan test, so defined for pointed cones only) against
-    # every independent subset.  Half the cones are made pointed by
-    # orienting the generators along a random form, with redundant positive
-    # combinations added, and half are random, often with a generator's
-    # negation added.  The cones include zero generators and
-    # lower-dimensional spans, and the points include some outside the span.
+    # The readings of one facet list that validate_fan makes: pointedness
+    # (the inequalities and equations span the dual space) against "-g in
+    # cone(G)", and membership (x satisfies them all) against every
+    # independent subset, both on every cone, lines included.  Half the
+    # cones are made pointed by orienting the generators along a random
+    # form, with redundant positive combinations added, and half are
+    # random, often with a generator's negation added.  The cones include
+    # zero generators and lower-dimensional spans, and the points include
+    # some outside the span.
     rng = random.Random(7130)
     kinds = ("line", "pointed", "zero_generator", "redundant", "inside", "outside_span", "outside_in_span")
     seen = dict.fromkeys(kinds, 0)
@@ -413,18 +408,17 @@ def test_cone_membership_and_pointedness_match_oracles():
                 seen["redundant"] += 1
         elif any(map(any, gens)) and rng.random() < 0.5:
             gens.append(tuple(-x for x in rng.choice([g for g in gens if any(g)])))
-        pointed = is_pointed(gens)
+        hrep = cone_hrep(gens, n)
+        pointed = rational_rank(hrep[0] + hrep[1]) == n
         assert pointed == (not oracle.has_line(gens)), gens
         seen["pointed" if pointed else "line"] += 1
         seen["zero_generator"] += any(not any(g) for g in gens)
-        if not pointed:
-            continue
         points = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(4)]
         for _ in range(4):
             weights = [rng.randint(-1, 3) for _ in gens]
             points.append(tuple(sum(w * g[i] for w, g in zip(weights, gens)) for i in range(n)))
         for x in points:
-            inside = cone_contains(gens, x)
+            inside = _inside([x], hrep)
             assert inside == oracle.caratheodory_contains(gens, x), (gens, x)
             if inside:
                 seen["inside"] += 1
@@ -574,7 +568,7 @@ def test_completeness_matches_dual_graph_oracle():
             if len(cones) > 1:
                 candidates.append(_sub_fan(whole, rng.sample(cones, rng.randint(1, len(cones) - 1))))
         for candidate in candidates:
-            complete, diag = _completeness(candidate)
+            complete, diag = _completeness(candidate, [cone_hrep(candidate.ray_vectors(c), n) for c in candidate.max_cones])
             assert (complete, diag) == oracle.dual_graph_completeness(candidate), candidate.rays
             if (kinds["complete"] + kinds["incomplete"]) % 20 == 0:
                 report = validate_fan(candidate)
@@ -584,3 +578,77 @@ def test_completeness_matches_dual_graph_oracle():
             kinds[f"rank{n}"] += 1
     assert min(kinds[k] for k in ("complete", "incomplete", "non_simplicial")) >= 120, kinds
     assert min(kinds[f"rank{n}"] for n in range(1, 5)) >= 50, kinds
+
+
+def _mutated_fan(rng):
+    """A small fan in rank 1-4: a GL(n, Z) image of P^n or (P^1)^n,
+    perhaps subdivided or merged, then either left whole, cut to a sub-fan
+    (perhaps with part of a dropped cone added, which leaves it non-pure),
+    or given one defect: an unused ray, a generator's negation or a
+    positive combination of two generators added to a cone, a proper subset
+    of a cone's rays as another maximal cone, or a cone on n random rays."""
+    n = rng.choice((1,) * 5 + (2,) * 10 + (3, 3, 4))
+    if n in (1, 4) or rng.random() < 0.6:
+        base = projective_space(n)
+    else:
+        rays = [tuple(s * int(i == k) for k in range(n)) for s in (1, -1) for i in range(n)]
+        base = Fan(n, rays, [[i + n * (bits >> i & 1) for i in range(n)] for bits in range(2**n)])
+    fan = _unimodular_image(base, rng)
+    for _ in range(rng.randint(0, n < 4)):
+        fan = _star_subdivision(fan, rng)
+    if n > 2 and rng.random() < 0.3:
+        fan = _merged_neighbours(fan, rng) or fan
+    rays = list(fan.rays)
+    cones = [list(c.ray_indices) for c in fan.max_cones]
+
+    def ray_index(v):
+        v = primitive(v)
+        if v not in rays:
+            rays.append(v)
+        return rays.index(v)
+
+    kind = rng.choice(("whole", "sub", "sub", "sub", "unused", "unused", "line", "redundant", "nested", "random", "random"))
+    c = rng.choice(cones)
+    if kind == "sub" and len(cones) > 1:
+        kept = rng.sample(cones, rng.randint(1, len(cones) - 1))
+        dropped = rng.choice([d for d in cones if d not in kept])
+        face = rng.sample(dropped, rng.randint(1, len(dropped) - 1)) if len(dropped) > 1 else []
+        if face and not any(set(face) <= set(k) for k in kept):
+            kept.append(face)
+        return _sub_fan(fan, kept)
+    if kind == "unused":
+        ray_index(_random_vector(rng, n, 2))
+    elif kind == "line":
+        c.append(ray_index(tuple(-x for x in rays[rng.choice(c)])))
+    elif kind == "redundant" and len(c) > 1:
+        (i, j), k = rng.sample(c, 2), rng.randint(1, 2)
+        c.append(ray_index(tuple(x + k * y for x, y in zip(rays[i], rays[j]))))
+    elif kind == "nested" and len(c) > 1:
+        cones.append(rng.sample(c, rng.randint(1, len(c) - 1)))
+    elif kind == "random":
+        cones.append([ray_index(_random_vector(rng, n, 2)) for _ in range(n)])
+    cones = [sorted(set(k)) for k in cones]
+    if len({tuple(k) for k in cones}) != len(cones):
+        return fan
+    return Fan(n, rays, cones)
+
+
+def test_validation_matches_reference_validator():
+    # Every FanReport, diagnostics included, against one built from the
+    # definitions and the brute-force predicates of polyhedral_oracle:
+    # lines by "-g in cone(G)", redundancy and containment by Caratheodory
+    # subsets, the common-face test through joined H-representations, and
+    # completeness by the dual-graph walk.
+    rng = random.Random(2610)
+    kinds = Counter()
+    for _ in range(1000):
+        fan = _mutated_fan(rng)
+        report = validate_fan(fan)
+        assert report == oracle.reference_report(fan), (fan.rays, [c.ray_indices for c in fan.max_cones])
+        for diag in report.diagnostics:
+            kinds[next(k for k in ("no maximal cone", "line", "redundant", "contains", "common face", "pure")
+                       if k in diag)] += 1
+        if report.valid:
+            kinds["complete" if report.complete else "incomplete"] += 1
+        kinds[f"rank{fan.rank}"] += 1
+    assert min(kinds.values()) >= 50 and len(kinds) == 12, kinds

@@ -289,6 +289,24 @@ def test_normal_form_solves_once(monkeypatch):
         assert len(calls) == min(level, 1)
 
 
+def test_bundle_arithmetic_on_a_warm_fan_computes_no_smith_form(monkeypatch):
+    # class_group is cached per fan, so the normal forms behind tensor and
+    # inverse read Cl(X) without a new Smith form of the ray matrix.
+    divisor = importlib.import_module("toricpic.divisor")
+    original = divisor.cokernel
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(divisor, "cokernel", counting)
+    l, trivial = from_divisor(P2, hyperplane(1), 2, 1), trivial_bundle(P2, 2)
+    calls.clear()
+    assert tensor(l, inverse(l)) == trivial
+    assert len(calls) == 0
+
+
 def test_tower_functions_take_an_admitted_bundle():
     # from_divisor admits a bundle once; the tower functions do not re-check
     # smoothness, so a bundle on P112 taken at the user's risk runs through.
